@@ -695,7 +695,7 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		// database in memory — the decode is the cost under test.
 		b.SetBytes(int64(buf.Len()))
 		for i := 0; i < b.N; i++ {
-			p2, err := qjoin.LoadPreparedBytes(buf.Bytes())
+			p2, err := qjoin.LoadPlanBytes(buf.Bytes())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -705,7 +705,7 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		}
 	})
 	// Sanity outside the timed regions: the restored plan answers identically.
-	p2, err := qjoin.LoadPrepared(bytes.NewReader(buf.Bytes()))
+	p2, err := qjoin.LoadPlan(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		b.Fatal(err)
 	}

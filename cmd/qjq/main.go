@@ -21,8 +21,9 @@
 // -shards N (N > 1) hash-partitions the data on a join key into N shard
 // engines compiled concurrently and answers through the merged global pivot
 // loop (qjoin.PrepareSharded). Answers are byte-identical to the unsharded
-// plan; -sample and -baseline are single-engine diagnostics and reject the
-// flag.
+// plan; -sample and -baseline are single-engine diagnostics, so a plan with
+// more than one shard — compiled here or restored with -load — refuses them
+// with the library's typed error.
 //
 // -update FILE applies a delta file to the compiled plan before answering —
 // the incremental-maintenance path, not a recompile. Each non-empty line is
@@ -145,9 +146,8 @@ func main() {
 	planOpts := qjoin.Options{Parallelism: *workers, CollectPhases: *doStats}
 	// -shards > 1 compiles one engine per hash partition of the join key and
 	// answers through the merged global pivot loop; answers are byte-identical
-	// to the unsharded plan, so the knob is purely operational. The plan is
-	// held behind the qjoin.Plan interface either way.
-	compile := func(db *qjoin.DB) (qjoin.Plan, error) {
+	// to the unsharded plan, so the knob is purely operational.
+	compile := func(db *qjoin.DB) (*qjoin.Prepared, error) {
 		if *loadFile != "" {
 			return loadPlanFile(*loadFile, planOpts)
 		}
@@ -209,12 +209,6 @@ func main() {
 		return
 	}
 
-	// -sample and -baseline run against the unsharded concrete plan only:
-	// the materialization baseline and the sampling estimator are
-	// single-engine diagnostics, not part of the Plan surface.
-	if (*doSample || *doBaseline) && *shards > 1 {
-		fatal(fmt.Errorf("-sample and -baseline are not supported with -shards > 1"))
-	}
 	if *doSample {
 		if *modeStr != "" {
 			fatal(fmt.Errorf("-sample and -mode are mutually exclusive"))
@@ -257,7 +251,7 @@ func main() {
 			if *eps <= 0 {
 				fatal(fmt.Errorf("-sample requires -eps > 0"))
 			}
-			ans, err = p.(*qjoin.Prepared).SampleQuantile(f, phi, *eps, *delta, rng)
+			ans, err = p.Answer(f, qjoin.QuantileRequest{Phi: phi, Eps: *eps, Delta: *delta, Mode: qjoin.ModeSample, Rand: rng})
 		case mode != qjoin.ModeExact:
 			// Mode-aware dispatch through the unified Answer surface: approx
 			// answers from the sketch summary, auto serves the sketch only
@@ -288,7 +282,7 @@ func main() {
 
 		if *doBaseline {
 			start = time.Now()
-			base, err := p.(*qjoin.Prepared).BaselineQuantile(f, phi)
+			base, err := p.BaselineQuantile(f, phi)
 			if err != nil {
 				fatal(err)
 			}
@@ -323,12 +317,12 @@ func printStats(s *qjoin.RunStats) {
 // applyUpdate folds a delta into the plan via incremental maintenance (a
 // copy-on-write Update, not a recompile), optionally reporting what it did.
 // On a sharded plan only the shards the delta's rows hash to are rebuilt.
-func applyUpdate(p qjoin.Plan, delta *qjoin.Delta, verbose bool) (qjoin.Plan, error) {
+func applyUpdate(p *qjoin.Prepared, delta *qjoin.Delta, verbose bool) (*qjoin.Prepared, error) {
 	if delta == nil {
 		return p, nil
 	}
 	start := time.Now()
-	up, err := p.UpdatePlan(delta)
+	up, err := p.Update(delta)
 	if err != nil {
 		return nil, fmt.Errorf("applying update: %w", err)
 	}
@@ -341,7 +335,7 @@ func applyUpdate(p qjoin.Plan, delta *qjoin.Delta, verbose bool) (qjoin.Plan, er
 // loadPlanFile restores a plan snapshot. The whole file is read up front and
 // decoded with the aliasing byte loader — the restored plan's columns point
 // into the file image, which is exactly the cold-start fast path.
-func loadPlanFile(path string, opts qjoin.Options) (qjoin.Plan, error) {
+func loadPlanFile(path string, opts qjoin.Options) (*qjoin.Prepared, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -355,7 +349,7 @@ func loadPlanFile(path string, opts qjoin.Options) (qjoin.Plan, error) {
 
 // savePlanFile writes the plan snapshot atomically: temp file, fsync,
 // rename — a crash mid-save never leaves a torn snapshot at path.
-func savePlanFile(p qjoin.Plan, path string) error {
+func savePlanFile(p *qjoin.Prepared, path string) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".qjq-snap-*")
 	if err != nil {
 		return err

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -99,6 +101,32 @@ func TestSaveLoadPlanFile(t *testing.T) {
 	}
 	if _, err := loadPlanFile(filepath.Join(t.TempDir(), "missing.snap"), qjoin.Options{}); err == nil {
 		t.Fatal("missing file accepted")
+	}
+
+	// A restored 2-shard plan refuses -sample and -baseline, the two
+	// single-engine calls qjq makes, with a typed error instead of a panic.
+	sp, err := qjoin.PrepareSharded(q, db, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spath := filepath.Join(t.TempDir(), "sharded.snap")
+	if err := savePlanFile(sp, spath); err != nil {
+		t.Fatal(err)
+	}
+	sgot, err := loadPlanFile(spath, qjoin.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sgot.Shards() != 2 {
+		t.Fatalf("restored %d shards, want 2", sgot.Shards())
+	}
+	_, err = sgot.Answer(f, qjoin.QuantileRequest{Phi: 0.5, Eps: 0.2, Delta: 0.05, Mode: qjoin.ModeSample, Rand: rand.New(rand.NewSource(1))})
+	var ae *qjoin.ArgError
+	if !errors.As(err, &ae) || ae.Field != "mode" {
+		t.Fatalf("-sample on a restored sharded plan: err = %v, want an *ArgError on mode", err)
+	}
+	if _, err := sgot.BaselineQuantile(f, 0.5); !errors.Is(err, qjoin.ErrShardedPlan) {
+		t.Fatalf("-baseline on a restored sharded plan: err = %v, want ErrShardedPlan", err)
 	}
 }
 

@@ -178,19 +178,20 @@
 //
 // # Sharded datasets
 //
-// PrepareSharded hash-partitions the input on a join key into N shard
-// engines (compiled concurrently) and answers through a merged global pivot
-// loop: per-iteration counts are summed across shards, the global pivot is
-// a weighted median over per-shard pivot candidates, and the λ-trim is
-// broadcast. The contract:
+// A plan holds N ≥ 1 engines. PrepareSharded hash-partitions the input on a
+// join key into N shard engines (compiled concurrently) and returns the same
+// *Prepared type Prepare does; every query runs the one pivot driver over
+// the engine vector: per-iteration counts are summed across shards, the
+// global pivot is a weighted median over per-shard pivot candidates, and
+// the λ-trim is broadcast. The contract:
 //
-//   - Byte-identity. Every selection answer — Quantile, Quantiles, Median,
-//     ApproxQuantile, Count — is byte-identical at every shard count,
-//     including shards=1 versus Prepare. Sharding is an operational choice,
-//     never a semantic one. The one tie-break caveat is TopK: its k weights
-//     are identical at every shard count, but among answers of exactly
-//     equal weight the sharded merge orders by value, which may differ from
-//     the unsharded stream's enumeration order. Each shard count is itself
+//   - Byte-identity. Every selection answer — Answer, Quantiles, Median,
+//     SelectAt, Count — is byte-identical at every shard count, including
+//     shards=1 versus Prepare. Sharding is an operational choice, never a
+//     semantic one. The one tie-break caveat is TopK: its k weights are
+//     identical at every shard count, but among answers of exactly equal
+//     weight the sharded merge orders by value, which may differ from the
+//     unsharded stream's enumeration order. Each shard count is itself
 //     fully deterministic.
 //   - RunStats. Statistics are identical across worker counts at a fixed
 //     shard count (and for shards=1 versus unsharded) but not comparable
@@ -204,13 +205,15 @@
 //     occurrence routes by its own column. The per-database string
 //     dictionary is shared by all shards, never copied. Queries with no
 //     join variable fail with ErrNoShardKey; run those through Prepare.
-//   - Updates route. ShardedPrepared.Update hash-routes each delta op to
-//     the shards owning its rows and rebuilds only those engines
-//     (copy-on-write, concurrent, atomic on error — ErrDeleteAbsent leaves
-//     the receiver intact). Touched reports the routing without updating.
-//   - Plan is the interface surface shared with *Prepared; UpdatePlan is
-//     Update in interface-typed form, which is what the qjserve plan cache
-//     migrates through.
+//   - Updates route. Update hash-routes each delta op to the shards owning
+//     its rows and rebuilds only those engines (copy-on-write, concurrent,
+//     atomic on error — ErrDeleteAbsent leaves the receiver intact).
+//     Touched reports the routing without updating.
+//   - Single-engine operations. ModeSample, SampleAnswers,
+//     RankedEnumerate, Enumerate and BaselineQuantile walk one engine's
+//     structures; on a plan with more than one shard they return a typed
+//     error (an *ArgError on the mode field for ModeSample, ErrShardedPlan
+//     for the rest) instead of answering.
 //
 // # Cyclic queries
 //
@@ -255,9 +258,9 @@
 // Answer is the mode-aware entry point that unifies the answering tiers
 // behind one request type. QuantileRequest selects a tier through Mode:
 //
-//   - ModeExact (the zero value) runs the exact pivot loop; Quantile,
-//     QuantileStats and ApproxQuantile are deprecated wrappers over it and
-//     stay byte-identical.
+//   - ModeExact runs the exact pivot loop (with Eps > 0, the deterministic
+//     (φ±ε) approximation of Theorem 6.2); Quantile and QuantileStats are
+//     deprecated one-line forwards to it.
 //   - ModeApprox answers from a mergeable weighted quantile summary
 //     (internal/sketch) built lazily per (plan, ranking): a grid of anchor
 //     answers, each carrying certified rank bounds. A warm sketch answers
@@ -265,29 +268,31 @@
 //   - ModeAuto serves from the sketch only when the requested Eps is at
 //     least the anchor's certified error at that φ, and otherwise falls
 //     back to the exact loop, byte-identical to the legacy answer.
-//   - ModeSample is the randomized sampling estimator (unsharded plans
+//   - ModeSample is the randomized sampling estimator (one-engine plans
 //     only); it has no wire form.
 //
 // Every Answer reports which tier produced it (Answer.Source: exact,
 // sketch or sample) and the certified rank-error fraction of that answer
-// (Answer.ErrorBound; 0 means exact). Update carries sketches into the new
-// plan copy-on-write, marked stale; the next approx answer — or an
-// explicit WarmSketches, which the qjserve plan cache calls during delta
-// migration — re-certifies each anchor with a trim-and-count probe instead
-// of rebuilding the grid. Sharded plans keep one summary per shard and
-// merge on demand, so shard-local updates re-certify only the touched
+// (Answer.ErrorBound; 0 means exact). A plan keeps one summary per engine
+// and merges them on demand (one engine's merge is its own summary). Update
+// carries the summaries into the new plan copy-on-write, stale wherever it
+// replaced an engine; the next approx answer — or an explicit
+// WarmSketches, which the qjserve plan cache calls during delta migration —
+// re-certifies each stale anchor with a trim-and-count probe instead of
+// rebuilding the grid, so shard-local updates re-certify only the touched
 // part. ParseMode/ValidateMode/FormatMode are the wire codec for the mode
 // argument, shared by qjq -mode and the server's /query mode field.
 //
 // # Durability
 //
 // A compiled plan can be persisted and restored without recompiling.
-// Prepared.Snapshot (and ShardedPrepared.Snapshot) writes the plan as a
-// versioned, checksummed binary stream — the string dictionary, the
-// columnar relations with their interner tables, the compiled engine
-// artifact, and any warm sketch summaries — and LoadPrepared,
-// LoadShardedPrepared or the kind-dispatching LoadPlan (plus their Bytes
-// variants) read it back. The contract:
+// Prepared.Snapshot writes the plan as a versioned, checksummed binary
+// stream — the string dictionary, the columnar relations with their
+// interner tables, the compiled engine artifact of every shard, and any
+// warm sketch summaries — and LoadPlan (or LoadPlanBytes) reads it back.
+// A plan PrepareSharded built is written as the sharded snapshot kind
+// (shard count in the meta section, per-shard sketch parts), any other as
+// the unsharded kind; LoadPlan reads both. The contract:
 //
 //   - Byte-identity. A restored plan answers every query — RunStats
 //     included — byte-identically to the plan that was saved, at every

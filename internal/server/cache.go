@@ -5,13 +5,14 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/quantilejoins/qjoin"
 )
 
 // PlanCache maps (dataset, generation, canonical query, ranking spec,
-// workers) to a compiled qjoin.Plan — an unsharded *qjoin.Prepared or a
-// sharded *qjoin.ShardedPrepared, per the dataset's shard option — with
+// workers) to a compiled qjoin.Plan — one engine, or one per shard when the
+// dataset is sharded (PrepareSharded) — with
 //
 //   - LRU eviction bounded by a capacity,
 //   - singleflight deduplication: concurrent requests for the same missing
@@ -20,7 +21,10 @@ import (
 //     (query, database) pair, so an entry for the same query under a new
 //     ranking reuses the sibling entry's plan without re-preparing,
 //   - migration: a delta moves every entry of the touched dataset to the
-//     next generation via Prepared.Update instead of invalidating it.
+//     next generation via Prepared.Update instead of invalidating it,
+//   - panic containment: a prepare that panics fails its flight with an
+//     error (every waiter returns; the panic is counted) instead of taking
+//     the process down.
 //
 // The ranking instance is interned in the entry and returned to every
 // caller: the engine memoizes its trim preparation per ranking *pointer*,
@@ -41,6 +45,7 @@ type PlanCache struct {
 	hits, misses, coalesced int64
 	prepares, evictions     int64
 	migrations, drops       int64
+	panics                  atomic.Int64 // prepares whose panic was recovered
 }
 
 // entry is one cached plan. rank holds the canonical interned ranking
@@ -187,7 +192,12 @@ func (c *PlanCache) Get(ctx context.Context, dataset string, gen uint64, query, 
 		if release != nil {
 			defer release()
 		}
-		p, err := prepare()
+		var p qjoin.Plan
+		var err error
+		func() {
+			defer recoverPanic(&c.panics, &err)
+			p, err = prepare()
+		}()
 		c.mu.Lock()
 		delete(c.inflight, k)
 		delete(c.byPlanKey, pk)
@@ -353,6 +363,7 @@ type CacheStats struct {
 	Evictions  int64 `json:"evictions"`
 	Migrations int64 `json:"migrations"`
 	Drops      int64 `json:"drops"`
+	Panics     int64 `json:"panics"`
 }
 
 // Stats returns a snapshot of the cache counters.
@@ -364,5 +375,6 @@ func (c *PlanCache) Stats() CacheStats {
 		Hits: c.hits, Misses: c.misses, Coalesced: c.coalesced,
 		Prepares: c.prepares, Evictions: c.evictions,
 		Migrations: c.migrations, Drops: c.drops,
+		Panics: c.panics.Load(),
 	}
 }

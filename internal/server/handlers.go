@@ -198,9 +198,9 @@ func (s *Server) writeError(w http.ResponseWriter, status int, err error, field 
 // fail maps an error to its HTTP status: typed validation errors are 400s
 // naming the field, oversized bodies are 413s, ErrDeleteAbsent is a 409
 // (the delta conflicts with the dataset's state), missing datasets and
-// empty answer sets are 404s, and anything else is a 400 (the request was
-// executable but ill-formed — the engine has no internal failure modes
-// that are the server's fault).
+// empty answer sets are 404s, store failures and recovered engine panics
+// are 500s, and anything else is a 400 (the request was executable but
+// ill-formed).
 func (s *Server) fail(w http.ResponseWriter, err error) {
 	var ae *qjoin.ArgError
 	var tooBig *http.MaxBytesError
@@ -213,7 +213,7 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 		s.writeError(w, http.StatusConflict, err, "")
 	case errors.Is(err, qjoin.ErrNoAnswers), errors.Is(err, errNotFound):
 		s.writeError(w, http.StatusNotFound, err, "")
-	case errors.Is(err, errStore):
+	case errors.Is(err, errStore), errors.Is(err, errPanic):
 		s.writeError(w, http.StatusInternalServerError, err, "")
 	default:
 		s.writeError(w, http.StatusBadRequest, err, "")
@@ -509,7 +509,7 @@ func (s *Server) execQuery(ctx context.Context, req *QueryRequest) (*QueryRespon
 		resp.Count = plan.Count().String()
 		return resp, nil
 	case "topk":
-		answers, err := runCtx(ctx, func() ([]*qjoin.Answer, error) { return plan.TopK(f, req.K) })
+		answers, err := runCtx(ctx, &s.metrics.Panics, func() ([]*qjoin.Answer, error) { return plan.TopK(f, req.K) })
 		if err != nil {
 			return nil, err
 		}
@@ -520,23 +520,18 @@ func (s *Server) execQuery(ctx context.Context, req *QueryRequest) (*QueryRespon
 		return resp, nil
 	}
 	resp.Vars = varNames(plan.Vars())
-	answers, err := runCtx(ctx, func() ([]*qjoin.Answer, error) {
+	answers, err := runCtx(ctx, &s.metrics.Panics, func() ([]*qjoin.Answer, error) {
 		out := make([]*qjoin.Answer, 0, len(phis))
 		for _, phi := range phis {
-			var a *qjoin.Answer
-			var err error
-			if op == "approx" {
-				a, err = plan.ApproxQuantile(f, phi, req.Eps)
-			} else {
-				// Eps reaches the plan only alongside an explicit non-exact
-				// mode: op=quantile historically ignores the eps field, and a
-				// stray value must not silently turn the run lossy.
-				qreq := qjoin.QuantileRequest{Phi: phi, Mode: mode}
-				if mode != qjoin.ModeExact {
-					qreq.Eps = req.Eps
-				}
-				a, err = plan.Answer(f, qreq)
+			// Eps reaches the plan only with op=approx (the deterministic
+			// (φ±ε) engine path) or alongside an explicit non-exact mode:
+			// op=quantile historically ignores the eps field, and a stray
+			// value must not silently turn the run lossy.
+			qreq := qjoin.QuantileRequest{Phi: phi, Mode: mode}
+			if op == "approx" || mode != qjoin.ModeExact {
+				qreq.Eps = req.Eps
 			}
+			a, err := plan.Answer(f, qreq)
 			if err != nil {
 				return nil, fmt.Errorf("φ=%v: %w", phi, err)
 			}
@@ -571,9 +566,9 @@ func (s *Server) execQuery(ctx context.Context, req *QueryRequest) (*QueryRespon
 // cache-owned flight (see PlanCache.Get): this request waits under its own
 // deadline while the compile — charged to this request's admission slot —
 // always runs to completion and lands in the cache. Sharded datasets
-// compile through PrepareSharded (answers stay byte-identical; see the
-// qjoin.Plan contract), except for queries with no join variable to
-// partition on, which fall back to the unsharded engine.
+// compile through PrepareSharded (answers stay byte-identical to Prepare),
+// except for queries with no join variable to partition on and cyclic
+// queries, which fall back to the unsharded engine.
 func (s *Server) getPlan(ctx context.Context, dataset string, snap Snapshot, q *qjoin.Query, qstr, rankStr string,
 	workers int, f *qjoin.Ranking) (qjoin.Plan, *qjoin.Ranking, bool, error) {
 	var hold func() func()
@@ -599,12 +594,27 @@ func (s *Server) getPlan(ctx context.Context, dataset string, snap Snapshot, q *
 	return plan, f, cached, nil
 }
 
+// errPanic marks engine work that panicked. The panic is recovered in the
+// goroutine the server started for the work, so one bad request cannot take
+// the process down; the HTTP layer maps it to a 500.
+var errPanic = errors.New("internal error: engine panicked")
+
+// recoverPanic, deferred at the top of a goroutine running engine work,
+// turns a panic into an errPanic in *err and counts it.
+func recoverPanic(panics *atomic.Int64, err *error) {
+	if v := recover(); v != nil {
+		panics.Add(1)
+		*err = fmt.Errorf("%w: %v", errPanic, v)
+	}
+}
+
 // runCtx runs fn, bounding the caller's wait by the context. The engine's
 // passes are not interruptible mid-flight, so on timeout the goroutine
 // finishes in the background and its result is discarded; the work keeps
 // holding the request's admission slot until it finishes, so MaxInflight
-// bounds total concurrent engine work, stragglers included.
-func runCtx[T any](ctx context.Context, fn func() (T, error)) (T, error) {
+// bounds total concurrent engine work, stragglers included. A panic in fn
+// comes back as an errPanic and is counted in panics.
+func runCtx[T any](ctx context.Context, panics *atomic.Int64, fn func() (T, error)) (T, error) {
 	var release func()
 	if tok := admitFrom(ctx); tok != nil {
 		release = tok.hold()
@@ -618,8 +628,10 @@ func runCtx[T any](ctx context.Context, fn func() (T, error)) (T, error) {
 		if release != nil {
 			defer release()
 		}
-		v, err := fn()
-		ch <- result{v, err}
+		var r result
+		defer func() { ch <- r }()
+		defer recoverPanic(panics, &r.err)
+		r.v, r.err = fn()
 	}()
 	select {
 	case r := <-ch:

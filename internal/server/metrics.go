@@ -92,6 +92,7 @@ type Metrics struct {
 	}
 	Errors   atomic.Int64 // responses with status >= 400
 	Timeouts atomic.Int64 // requests rejected by the gate or deadline
+	Panics   atomic.Int64 // query runs whose engine panic was recovered
 	Inflight atomic.Int64 // currently admitted requests (gauge)
 
 	LoadLatency     Histogram
@@ -116,6 +117,7 @@ type MetricsSnapshot struct {
 	StatsReq int64         `json:"stats_requests"`
 	Errors   int64         `json:"errors"`
 	Timeouts int64         `json:"timeouts"`
+	Panics   int64         `json:"panics"`
 	Inflight int64         `json:"inflight"`
 }
 
@@ -129,6 +131,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		StatsReq: m.Requests.Stats.Load(),
 		Errors:   m.Errors.Load(),
 		Timeouts: m.Timeouts.Load(),
+		Panics:   m.Panics.Load(),
 		Inflight: m.Inflight.Load(),
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"github.com/quantilejoins/qjoin/internal/counting"
 	"github.com/quantilejoins/qjoin/internal/decomp"
 	"github.com/quantilejoins/qjoin/internal/engine"
+	"github.com/quantilejoins/qjoin/internal/shard"
 	"github.com/quantilejoins/qjoin/internal/yannakakis"
 )
 
@@ -22,19 +23,26 @@ import (
 //
 // The paper's central point is that this preprocessing is quasilinear while
 // the per-query work on top of it is cheap; Prepared makes the split
-// explicit. Build one with Prepare and answer any number of quantile,
-// selection, sampling, enumeration and counting queries against it — every
-// one-shot free function in this package is a thin wrapper that prepares
-// and discards a plan.
+// explicit. Build one with Prepare (or PrepareSharded) and answer any number
+// of quantile, selection, sampling, enumeration and counting queries against
+// it — every one-shot free function in this package is a thin wrapper that
+// prepares and discards a plan.
+//
+// A plan holds N ≥ 1 engines. Prepare builds one; PrepareSharded builds one
+// per hash partition of the input. Algorithm 1 steers by answer counts alone
+// and counts add across disjoint partitions, so every query runs the one
+// pivot driver over the engine vector and answers identically for every N.
+// The operations that walk a single engine's structures — ModeSample,
+// SampleAnswers, RankedEnumerate, Enumerate and BaselineQuantile — refuse a
+// plan with more than one shard with a typed error.
 //
 // # Concurrency
 //
-// A Prepared plan is safe for concurrent readers: Quantile, QuantileStats,
-// Quantiles, ApproxQuantile, Median, SelectAt, Count, TopK, Enumerate,
-// BaselineQuantile, RankedEnumerate, SampleQuantile and SampleAnswers may
-// all be called from multiple goroutines at once. The lazily built
-// structures (direct access, full reduction) are guarded by sync.Once.
-// Two caveats:
+// A Prepared plan is safe for concurrent readers: Answer, Quantile,
+// Quantiles, Median, SelectAt, Count, TopK, Enumerate, BaselineQuantile,
+// RankedEnumerate and SampleAnswers may all be called from multiple
+// goroutines at once. The lazily built structures (direct access, full
+// reduction) are guarded by sync.Once. Two caveats:
 //
 //   - Methods taking a *rand.Rand use the caller's generator; do not share
 //     one *rand.Rand across goroutines.
@@ -44,13 +52,14 @@ import (
 type Prepared struct {
 	q    *Query
 	db   *DB // the compiled-against database; nil on updated plans until DB() materializes it
-	eng  *engine.Engine
+	engs []*engine.Engine
+	sh   *shard.Sharded // the partition routing; nil on plans Prepare built
 	opts Options
 
 	// Plans derived by Update materialize their database lazily: the base
 	// plan's database plus the chain of applied deltas, folded on first
 	// DB() call. Queries never need the raw database — they run on the
-	// engine — so updates stay O(|delta|). Update reuses an already
+	// engines — so updates stay O(|delta|). Update reuses an already
 	// materialized database as the next base and folds the chain past a
 	// fixed length, so neither memory nor DB() cost grows with the number
 	// of chained updates. dbMu guards db/baseDB/deltas (a mutex, not a
@@ -61,8 +70,9 @@ type Prepared struct {
 
 	// Sketch summaries for the approximate tier (see approx.go), built
 	// lazily per ranking function on first ModeApprox/ModeAuto use — never
-	// by Prepare or Update — and carried (stale) across Update. skMu guards
-	// both maps; the summaries themselves are immutable.
+	// by Prepare or Update — and carried across Update, where the engine
+	// vector identifies exactly the engines to re-certify. skMu guards both
+	// maps; the entries themselves are immutable.
 	//
 	// rankCanon interns rankings by wire spec so that summaries loaded from
 	// a snapshot (keyed by pointers ParseRanking minted at load time) are
@@ -72,6 +82,10 @@ type Prepared struct {
 	sketches  map[*Ranking]*sketchEntry
 	rankCanon map[string]*Ranking
 }
+
+// Plan is the plan type serving layers hold. It names *Prepared, the one
+// plan struct, whether Prepare or PrepareSharded built it.
+type Plan = *Prepared
 
 // Prepare compiles a query against a database. The work done here —
 // validation, self-join elimination, input deduplication, join-tree
@@ -96,7 +110,7 @@ func Prepare(q *Query, db *DB, opts ...Options) (*Prepared, error) {
 	if err != nil {
 		return nil, mapCompileErr(err)
 	}
-	return &Prepared{q: q, db: db, eng: eng, opts: o}, nil
+	return &Prepared{q: q, db: db, engs: []*engine.Engine{eng}, opts: o}, nil
 }
 
 // mapCompileErr converts typed compile failures into their public surface:
@@ -128,12 +142,21 @@ func (p *Prepared) opt(opts []Options) Options {
 	return o
 }
 
+// single returns the plan's engine for the operations that walk one
+// engine's structures, or ErrShardedPlan when the plan has several.
+func (p *Prepared) single() (*engine.Engine, error) {
+	if len(p.engs) > 1 {
+		return nil, ErrShardedPlan
+	}
+	return p.engs[0], nil
+}
+
 // Query returns the query this plan was compiled from.
 func (p *Prepared) Query() *Query { return p.q }
 
-// DB returns the database this plan answers over. On a plan derived by
-// Update it reflects every applied delta; the mutated database is
-// materialized on first call and cached.
+// DB returns the database this plan answers over (the union across shards).
+// On a plan derived by Update it reflects every applied delta; the mutated
+// database is materialized on first call and cached.
 func (p *Prepared) DB() *DB {
 	p.dbMu.Lock()
 	defer p.dbMu.Unlock()
@@ -146,11 +169,18 @@ func (p *Prepared) DB() *DB {
 
 // Vars returns the answer layout: the query's variables in first-appearance
 // order.
-func (p *Prepared) Vars() []Var { return p.eng.Vars() }
+func (p *Prepared) Vars() []Var { return p.engs[0].Vars() }
 
 // Count returns the cached |Q(D)|. Unlike the free Count function this
-// never fails and costs nothing: the count was taken at Prepare time.
-func (p *Prepared) Count() *big.Int { return p.eng.Total().Big() }
+// never fails and costs nothing: the count was taken at Prepare time. The
+// shards hold disjoint slices of the answer set, so their counts add.
+func (p *Prepared) Count() *big.Int {
+	total := counting.Zero
+	for _, eng := range p.engs {
+		total = total.Add(eng.Total())
+	}
+	return total.Big()
+}
 
 // Quantile returns the φ-quantile of Q(D) under the ranking function (see
 // the free Quantile function for the exactness contract).
@@ -172,16 +202,6 @@ func (p *Prepared) QuantileStats(f *Ranking, phi float64, opts ...Options) (*Ans
 // Median returns the 0.5-quantile.
 func (p *Prepared) Median(f *Ranking, opts ...Options) (*Answer, error) {
 	return p.Quantile(f, 0.5, opts...)
-}
-
-// ApproxQuantile returns a deterministic (φ±ε)-quantile (Theorem 6.2).
-//
-// Deprecated: equivalent to Answer with QuantileRequest{Phi: phi, Eps: eps,
-// Mode: ModeExact}; ModeApprox/ModeAuto answer from the sketch tier instead.
-func (p *Prepared) ApproxQuantile(f *Ranking, phi, eps float64, opts ...Options) (*Answer, error) {
-	o := p.opt(opts)
-	o.Epsilon = eps
-	return p.Answer(f, QuantileRequest{Phi: phi, Mode: ModeExact}, o)
 }
 
 // Quantiles answers several φ's against this single plan. Compared with
@@ -206,41 +226,29 @@ func (p *Prepared) SelectAt(f *Ranking, k *big.Int, opts ...Options) (*Answer, e
 	if !ok {
 		return nil, fmt.Errorf("qjoin: index out of the supported 128-bit range")
 	}
-	a, _, err := core.SelectPrepared(p.eng, f, kc, p.opt(opts))
+	a, _, err := core.SelectShards(p.engs, f, kc, p.opt(opts))
 	return a, err
-}
-
-// SampleQuantile returns a randomized (φ±ε)-quantile with success
-// probability at least 1-δ (Section 3.1). The direct-access structure is
-// built on first use and shared by subsequent calls.
-//
-// Deprecated: equivalent to Answer with QuantileRequest{Phi: phi, Eps: eps,
-// Delta: delta, Mode: ModeSample, Rand: rng}.
-func (p *Prepared) SampleQuantile(f *Ranking, phi, eps, delta float64, rng *rand.Rand) (*Answer, error) {
-	a, err := core.SampleQuantilePrepared(p.eng, f, phi, eps, delta, rng)
-	if err != nil {
-		return nil, err
-	}
-	a.Source = SourceSample
-	a.ErrorBound = eps
-	return a, nil
 }
 
 // SampleAnswers draws k uniform samples from Q(D) (with replacement) using
 // the shared direct-access structure. It returns the variable layout and
 // one row per sample.
 func (p *Prepared) SampleAnswers(k int, rng *rand.Rand) ([]Var, [][]Value, error) {
-	d := p.eng.Access()
+	eng, err := p.single()
+	if err != nil {
+		return nil, nil, err
+	}
+	d := eng.Access()
 	if d.N().IsZero() {
 		return nil, nil, ErrNoAnswers
 	}
-	vars := p.eng.Vars()
-	buf := make([]Value, p.eng.Width())
+	vars := eng.Vars()
+	buf := make([]Value, eng.Width())
 	rows := make([][]Value, k)
 	for i := 0; i < k; i++ {
 		d.Sample(rng, buf)
 		row := make([]Value, len(vars))
-		p.eng.Project(buf, row)
+		eng.Project(buf, row)
 		rows[i] = row
 	}
 	return vars, rows, nil
@@ -251,11 +259,15 @@ func (p *Prepared) SampleAnswers(k int, rng *rand.Rand) ([]Var, [][]Value, error
 // delay. The returned stream is a single cursor (not goroutine-safe), but
 // independent streams may run concurrently over the same plan.
 func (p *Prepared) RankedEnumerate(f *Ranking) (*RankedStream, error) {
-	return rankedStreamFor(p.eng, f)
+	eng, err := p.single()
+	if err != nil {
+		return nil, err
+	}
+	return rankedStreamFor(eng, f)
 }
 
-// rankedStreamFor builds a ranked enumeration stream over one engine; the
-// sharded TopK merge opens one per shard engine.
+// rankedStreamFor builds a ranked enumeration stream over one engine; TopK
+// merges one per engine.
 func rankedStreamFor(eng *engine.Engine, f *Ranking) (*RankedStream, error) {
 	e, err := eng.Reduced()
 	if err != nil {
@@ -273,30 +285,65 @@ func rankedStreamFor(eng *engine.Engine, f *Ranking) (*RankedStream, error) {
 	}, nil
 }
 
-// TopK returns the k lowest-weight answers in order (fewer if |Q(D)| < k).
+// TopK returns the k lowest-weight answers in weight order (fewer if
+// |Q(D)| < k): a streaming merge of the per-engine ranked enumerations.
+// Among equal weights the merge breaks ties by value, so the output is
+// deterministic for a fixed shard count; a one-engine plan keeps its
+// stream's order (its single stream has no tie to break).
 func (p *Prepared) TopK(f *Ranking, k int) ([]*Answer, error) {
-	s, err := p.RankedEnumerate(f)
-	if err != nil {
-		return nil, err
+	type cursor struct {
+		a *Answer
+		s *RankedStream
+	}
+	heads := make([]cursor, 0, len(p.engs))
+	for _, eng := range p.engs {
+		s, err := rankedStreamFor(eng, f)
+		if err != nil {
+			return nil, err
+		}
+		if a, ok := s.Next(); ok {
+			heads = append(heads, cursor{a, s})
+		}
 	}
 	out := make([]*Answer, 0, k)
-	for len(out) < k {
-		a, ok := s.Next()
-		if !ok {
-			break
+	for len(out) < k && len(heads) > 0 {
+		best := 0
+		for j := 1; j < len(heads); j++ {
+			a, b := heads[j].a, heads[best].a
+			if c := f.Compare(a.Weight, b.Weight); c < 0 || (c == 0 && lessAnswerValues(a, b)) {
+				best = j
+			}
 		}
-		out = append(out, a)
+		out = append(out, heads[best].a)
+		if a, ok := heads[best].s.Next(); ok {
+			heads[best].a = a
+		} else {
+			heads = append(heads[:best], heads[best+1:]...)
+		}
 	}
 	return out, nil
+}
+
+func lessAnswerValues(a, b *Answer) bool {
+	for i := range a.Values {
+		if a.Values[i] != b.Values[i] {
+			return a.Values[i] < b.Values[i]
+		}
+	}
+	return false
 }
 
 // Enumerate streams every answer (in no particular order); fn may return
 // false to stop. The slice passed to fn must not be retained.
 func (p *Prepared) Enumerate(fn func(vars []Var, vals []Value) bool) error {
-	vars := p.eng.Vars()
+	eng, err := p.single()
+	if err != nil {
+		return err
+	}
+	vars := eng.Vars()
 	buf := make([]Value, len(vars))
-	yannakakis.Enumerate(p.eng.Exec(), func(asn []Value) bool {
-		p.eng.Project(asn, buf)
+	yannakakis.Enumerate(eng.Exec(), func(asn []Value) bool {
+		eng.Project(asn, buf)
 		return fn(vars, buf)
 	})
 	return nil
@@ -305,5 +352,9 @@ func (p *Prepared) Enumerate(fn func(vars []Var, vals []Value) bool) error {
 // BaselineQuantile materializes Q(D) and selects — the direct method the
 // paper improves upon. Time and memory are linear in |Q(D)| per call.
 func (p *Prepared) BaselineQuantile(f *Ranking, phi float64) (*Answer, error) {
-	return core.BaselineQuantilePrepared(p.eng, f, phi)
+	eng, err := p.single()
+	if err != nil {
+		return nil, err
+	}
+	return core.BaselineQuantilePrepared(eng, f, phi)
 }

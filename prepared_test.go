@@ -130,7 +130,7 @@ func TestPreparedMatchesOneShot(t *testing.T) {
 				var pa, fa *qjoin.Answer
 				var perr, ferr error
 				if tc.eps > 0 {
-					pa, perr = p.ApproxQuantile(f, phi, tc.eps)
+					pa, perr = p.Answer(f, qjoin.QuantileRequest{Phi: phi, Eps: tc.eps, Mode: qjoin.ModeExact})
 					fa, ferr = qjoin.ApproxQuantile(q, db, f, phi, tc.eps)
 				} else {
 					pa, perr = p.Quantile(f, phi)
@@ -178,7 +178,7 @@ func TestPreparedMatchesOneShot(t *testing.T) {
 
 			// Randomized paths share the code path, so equal seeds must give
 			// equal answers.
-			pa, err := p.SampleQuantile(f, 0.5, 0.3, 0.1, rand.New(rand.NewSource(99)))
+			pa, err := p.Answer(f, qjoin.QuantileRequest{Phi: 0.5, Eps: 0.3, Delta: 0.1, Mode: qjoin.ModeSample, Rand: rand.New(rand.NewSource(99))})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -292,7 +292,7 @@ func TestPreparedErrors(t *testing.T) {
 	if _, err := pp.Quantile(full, 0.5); err != qjoin.ErrIntractable {
 		t.Fatalf("full SUM: err = %v, want ErrIntractable", err)
 	}
-	if _, err := pp.ApproxQuantile(full, 0.5, 0.25); err != nil {
+	if _, err := pp.Answer(full, qjoin.QuantileRequest{Phi: 0.5, Eps: 0.25, Mode: qjoin.ModeExact}); err != nil {
 		t.Fatalf("approx after intractable: %v", err)
 	}
 }
@@ -338,7 +338,7 @@ func TestPreparedConcurrent(t *testing.T) {
 					t.Errorf("enumerate: %d %v", cnt, err)
 					return
 				}
-				if _, err := p.SampleQuantile(f, 0.5, 0.3, 0.1, rng); err != nil {
+				if _, err := p.Answer(f, qjoin.QuantileRequest{Phi: 0.5, Eps: 0.3, Delta: 0.1, Mode: qjoin.ModeSample, Rand: rng}); err != nil {
 					t.Errorf("samplequantile: %v", err)
 					return
 				}

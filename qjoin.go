@@ -204,7 +204,7 @@ func ApproxQuantile(q *Query, db *DB, f *Ranking, phi, eps float64, opts ...Opti
 	if err != nil {
 		return nil, err
 	}
-	return p.ApproxQuantile(f, phi, eps, o)
+	return p.Answer(f, QuantileRequest{Phi: phi, Mode: ModeExact}, o)
 }
 
 // SampleQuantile returns a randomized (φ±ε)-quantile with success
@@ -215,7 +215,7 @@ func SampleQuantile(q *Query, db *DB, f *Ranking, phi, eps, delta float64, rng *
 	if err != nil {
 		return nil, err
 	}
-	return p.SampleQuantile(f, phi, eps, delta, rng)
+	return p.Answer(f, QuantileRequest{Phi: phi, Eps: eps, Delta: delta, Mode: ModeSample, Rand: rng})
 }
 
 // Quantiles computes several quantiles in one call. The (Q, D) pair is

@@ -65,6 +65,64 @@ func TestPrepareShardedCyclic(t *testing.T) {
 	}
 }
 
+// TestShardedSingleEngineRefusals: the operations that walk one engine's
+// structures refuse a plan with more than one shard with a typed error —
+// never a panic — and keep working on a one-shard plan.
+func TestShardedSingleEngineRefusals(t *testing.T) {
+	rng := rand.New(rand.NewSource(701))
+	q, idb := workload.Path(rng, 2, 50, 8)
+	db := qjoin.WrapDB(idb)
+	f := qjoin.Sum(q.Vars()...)
+	cases := []struct {
+		name  string
+		call  func(p *qjoin.Prepared) error
+		field string // non-empty: the refusal is an *ArgError on this field
+	}{
+		{"answer-sample", func(p *qjoin.Prepared) error {
+			_, err := p.Answer(f, qjoin.QuantileRequest{Phi: 0.5, Eps: 0.2, Delta: 0.1, Mode: qjoin.ModeSample, Rand: rand.New(rand.NewSource(1))})
+			return err
+		}, "mode"},
+		{"sample-answers", func(p *qjoin.Prepared) error {
+			_, _, err := p.SampleAnswers(3, rand.New(rand.NewSource(1)))
+			return err
+		}, ""},
+		{"ranked-enumerate", func(p *qjoin.Prepared) error {
+			_, err := p.RankedEnumerate(f)
+			return err
+		}, ""},
+		{"enumerate", func(p *qjoin.Prepared) error {
+			return p.Enumerate(func([]qjoin.Var, []qjoin.Value) bool { return false })
+		}, ""},
+		{"baseline", func(p *qjoin.Prepared) error {
+			_, err := p.BaselineQuantile(f, 0.5)
+			return err
+		}, ""},
+	}
+	sharded, err := qjoin.PrepareSharded(q, db, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := qjoin.PrepareSharded(q, db, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.call(sharded)
+			var ae *qjoin.ArgError
+			switch {
+			case tc.field != "" && (!errors.As(err, &ae) || ae.Field != tc.field):
+				t.Fatalf("2 shards: err = %v, want *ArgError on %s", err, tc.field)
+			case tc.field == "" && !errors.Is(err, qjoin.ErrShardedPlan):
+				t.Fatalf("2 shards: err = %v, want ErrShardedPlan", err)
+			}
+			if err := tc.call(one); err != nil {
+				t.Fatalf("1 shard: %v", err)
+			}
+		})
+	}
+}
+
 func TestShardOfDeterministic(t *testing.T) {
 	seen := make(map[int]int)
 	for v := int64(0); v < 1000; v++ {
@@ -102,7 +160,7 @@ func TestShardedDifferentialFuzz(t *testing.T) {
 			for _, shards := range []int{1, 2, 5} {
 				type run struct {
 					w    int
-					plan *qjoin.ShardedPrepared
+					plan *qjoin.Prepared
 				}
 				var runs []run
 				for _, w := range []int{1, 2} {
@@ -190,7 +248,7 @@ func TestShardedDeltaDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sharded := make(map[int]*qjoin.ShardedPrepared)
+			sharded := make(map[int]*qjoin.Prepared)
 			for _, n := range []int{1, 2, 5} {
 				if sharded[n], err = qjoin.PrepareSharded(q, db, n, qjoin.Options{Parallelism: 2}); err != nil {
 					t.Fatal(err)

@@ -147,7 +147,7 @@ func TestAutoFallbackByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("φ=%v auto: %v", phi, err)
 		}
-		legacy, err := p.ApproxQuantile(f, phi, tiny)
+		legacy, err := p.Answer(f, qjoin.QuantileRequest{Phi: phi, Eps: tiny, Mode: qjoin.ModeExact})
 		if err != nil {
 			t.Fatalf("φ=%v legacy: %v", phi, err)
 		}

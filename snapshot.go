@@ -1,12 +1,11 @@
 package qjoin
 
-// Plan snapshots: Prepared.Snapshot / ShardedPrepared.Snapshot serialize a
-// compiled plan — raw database, dictionary, the compiled engine artifact(s)
-// and warm sketch summaries — into the versioned, checksummed container of
-// internal/snap, and LoadPrepared / LoadShardedPrepared / LoadPlan restore
-// it without re-running Prepare's hash passes. See doc.go ("Durability") for
-// the contract: what a snapshot captures, what it rebuilds lazily, and the
-// byte-identity guarantee.
+// Plan snapshots: Prepared.Snapshot serializes a compiled plan — raw
+// database, dictionary, the compiled engine artifact(s) and warm sketch
+// summaries — into the versioned, checksummed container of internal/snap,
+// and LoadPlan restores it without re-running Prepare's hash passes. See
+// doc.go ("Durability") for the contract: what a snapshot captures, what it
+// rebuilds lazily, and the byte-identity guarantee.
 
 import (
 	"errors"
@@ -45,41 +44,53 @@ func corruptf(format string, args ...any) error {
 }
 
 // Snapshot writes the plan to w in the versioned binary snapshot format:
-// the raw database (with its dictionary), the compiled engine artifact, and
-// every warm (non-stale) sketch summary. LoadPrepared restores a plan whose
-// answers — including run statistics — are byte-identical to the receiver's
-// at the moment of the call. On a plan derived by Update the delta chain is
-// materialized first, so the snapshot is self-contained at the current
-// generation.
+// the raw database (with its dictionary), the compiled engine artifact of
+// every shard, and every warm (non-stale) sketch summary. LoadPlan restores
+// a plan whose answers — including run statistics — are byte-identical to
+// the receiver's at the moment of the call. On a plan derived by Update the
+// delta chain is materialized first, so the snapshot is self-contained at
+// the current generation.
+//
+// A plan PrepareSharded built is written as the sharded kind, whose meta
+// section carries the shard count and whose sketch sections carry every
+// per-shard part; a plan Prepare built is written as the unsharded kind.
 func (p *Prepared) Snapshot(w io.Writer) error {
 	raw := p.DB()
-	sw := snap.NewWriter(w, snap.KindPrepared)
+	kind := snap.KindPrepared
+	if p.sh != nil {
+		kind = snap.KindSharded
+	}
+	sw := snap.NewWriter(w, kind)
 
 	var e snap.Enc
 	snap.EncodeQuery(&e, p.q)
+	if p.sh != nil {
+		e.U32(uint32(len(p.engs)))
+	}
 	if err := sw.Section(snap.SecMeta, e.Bytes()); err != nil {
 		return err
 	}
-	e = snap.Enc{}
-	snap.EncodeDict(&e, raw.inner.Dict())
-	if err := sw.Section(snap.SecDict, e.Bytes()); err != nil {
+	rw, err := writeRawDB(sw, raw)
+	if err != nil {
 		return err
 	}
-	rw := snap.NewRelWriter()
-	e = snap.Enc{}
-	snap.EncodeDatabase(&e, rw, raw.inner)
-	if err := sw.Section(snap.SecRawDB, e.Bytes()); err != nil {
-		return err
-	}
-	e = snap.Enc{}
-	snap.EncodeEngine(&e, rw, p.eng)
-	if err := sw.Section(snap.SecEngine, e.Bytes()); err != nil {
-		return err
+	for _, eng := range p.engs {
+		e = snap.Enc{}
+		snap.EncodeEngine(&e, rw, eng)
+		if err := sw.Section(snap.SecEngine, e.Bytes()); err != nil {
+			return err
+		}
 	}
 	for _, s := range p.snapshotSketches() {
 		e = snap.Enc{}
 		e.Str(s.spec)
-		snap.EncodeSummary(&e, s.sum)
+		if p.sh != nil {
+			e.F64(s.entry.merged.Res)
+			e.U32(uint32(len(s.entry.parts)))
+		}
+		for _, part := range s.entry.parts {
+			snap.EncodeSummary(&e, part)
+		}
 		if err := sw.Section(snap.SecSketch, e.Bytes()); err != nil {
 			return err
 		}
@@ -87,133 +98,80 @@ func (p *Prepared) Snapshot(w io.Writer) error {
 	return sw.Close()
 }
 
-// specSummary is one serializable sketch: wire spec plus summary.
-type specSummary struct {
-	spec string
-	sum  *sketch.Summary
+// specSketch is one serializable sketch entry: wire spec plus entry.
+type specSketch struct {
+	spec  string
+	entry *sketchEntry
 }
 
-// snapshotSketches collects the plan's serializable summaries: warm (stale
-// summaries would need re-certification the loader cannot perform) and with
-// a wire-formattable ranking. Sorted by spec so snapshots are byte-
-// deterministic.
-func (p *Prepared) snapshotSketches() []specSummary {
+// snapshotSketches collects the plan's serializable sketch entries: those
+// certified against the current engine vector (anything else would need
+// re-certification the loader cannot perform) with a wire-formattable
+// ranking, sorted by spec so snapshots are byte-deterministic.
+func (p *Prepared) snapshotSketches() []specSketch {
 	p.skMu.Lock()
 	defer p.skMu.Unlock()
-	var out []specSummary
+	var out []specSketch
 	for f, en := range p.sketches {
-		if en.stale || f.Weight != nil {
+		if f.Weight != nil || !sameEngines(en.engs, p.engs) {
 			continue
 		}
 		spec, err := FormatRanking(f)
 		if err != nil {
 			continue
 		}
-		out = append(out, specSummary{spec, en.sum})
+		out = append(out, specSketch{spec, en})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].spec < out[j].spec })
 	return out
 }
 
-// LoadPrepared restores an unsharded plan saved by Prepared.Snapshot. The
+// LoadPlan restores a plan saved by Prepared.Snapshot, of either kind. The
 // expensive compile passes (dedup hashing, node materialization, group
 // indexing, counting) are skipped — only the cheap pure-function state is
 // recomputed — so restoring is roughly an order of magnitude faster than
 // Prepare on the same data. An optional Options value becomes the restored
 // plan's defaults, exactly as with Prepare; answers are byte-identical for
 // every Parallelism value and to the plan that was saved.
-func LoadPrepared(r io.Reader, opts ...Options) (*Prepared, error) {
-	sr, err := snap.NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	if sr.Kind() != snap.KindPrepared {
-		return nil, corruptf("stream holds kind %d, want an unsharded plan (use LoadPlan to dispatch)", sr.Kind())
-	}
-	return loadPrepared(sr, oneOpt(opts))
-}
-
-// LoadPreparedBytes is LoadPrepared over an in-memory snapshot, skipping the
-// stream copy: the restored plan's columns alias b (zero copy), so b must not
-// be modified while the plan is alive. This is the fast path for blue/green
-// handoff and mmap'd snapshot files.
-func LoadPreparedBytes(b []byte, opts ...Options) (*Prepared, error) {
-	sr, err := snap.NewReaderBytes(b)
-	if err != nil {
-		return nil, err
-	}
-	if sr.Kind() != snap.KindPrepared {
-		return nil, corruptf("stream holds kind %d, want an unsharded plan (use LoadPlan to dispatch)", sr.Kind())
-	}
-	return loadPrepared(sr, oneOpt(opts))
-}
-
-// LoadShardedPrepared restores a sharded plan saved by
-// ShardedPrepared.Snapshot (see LoadPrepared for the contract).
-func LoadShardedPrepared(r io.Reader, opts ...Options) (*ShardedPrepared, error) {
-	sr, err := snap.NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	if sr.Kind() != snap.KindSharded {
-		return nil, corruptf("stream holds kind %d, want a sharded plan (use LoadPlan to dispatch)", sr.Kind())
-	}
-	return loadSharded(sr, oneOpt(opts))
-}
-
-// LoadShardedPreparedBytes is LoadShardedPrepared over an in-memory snapshot
-// (see LoadPreparedBytes for the aliasing contract).
-func LoadShardedPreparedBytes(b []byte, opts ...Options) (*ShardedPrepared, error) {
-	sr, err := snap.NewReaderBytes(b)
-	if err != nil {
-		return nil, err
-	}
-	if sr.Kind() != snap.KindSharded {
-		return nil, corruptf("stream holds kind %d, want a sharded plan (use LoadPlan to dispatch)", sr.Kind())
-	}
-	return loadSharded(sr, oneOpt(opts))
-}
-
-// LoadPlan restores a plan snapshot of either kind behind the Plan
-// interface — the loader for callers (like qjq -load) that saved whatever
-// plan kind they had.
 func LoadPlan(r io.Reader, opts ...Options) (Plan, error) {
 	sr, err := snap.NewReader(r)
 	if err != nil {
 		return nil, err
 	}
-	return loadPlan(sr, opts)
+	return loadPlan(sr, oneOpt(opts))
 }
 
-// LoadPlanBytes is LoadPlan over an in-memory snapshot (see LoadPreparedBytes
-// for the aliasing contract).
+// LoadPlanBytes is LoadPlan over an in-memory snapshot, skipping the stream
+// copy: the restored plan's columns alias b (zero copy), so b must not be
+// modified while the plan is alive. This is the fast path for blue/green
+// handoff and mmap'd snapshot files.
 func LoadPlanBytes(b []byte, opts ...Options) (Plan, error) {
 	sr, err := snap.NewReaderBytes(b)
 	if err != nil {
 		return nil, err
 	}
-	return loadPlan(sr, opts)
+	return loadPlan(sr, oneOpt(opts))
 }
 
-func loadPlan(sr *snap.Reader, opts []Options) (Plan, error) {
-	// Return the error paths explicitly: a nil *Prepared inside a non-nil
-	// Plan interface would defeat callers' `plan != nil` checks.
-	switch sr.Kind() {
-	case snap.KindPrepared:
-		p, err := loadPrepared(sr, oneOpt(opts))
-		if err != nil {
-			return nil, err
-		}
-		return p, nil
-	case snap.KindSharded:
-		p, err := loadSharded(sr, oneOpt(opts))
-		if err != nil {
-			return nil, err
-		}
-		return p, nil
-	default:
+// loadPlan decodes a plan while the section checksum pass runs concurrently
+// (snap.Reader.Sections); the verify join gates every exit, and a checksum
+// failure wins over whatever the decode made of the bad bytes.
+func loadPlan(sr *snap.Reader, o Options) (*Prepared, error) {
+	if sr.Kind() != snap.KindPrepared && sr.Kind() != snap.KindSharded {
 		return nil, corruptf("stream holds kind %d, not a plan snapshot", sr.Kind())
 	}
+	secs, verify, err := sr.Sections()
+	if err != nil {
+		return nil, err
+	}
+	p, err := decodePlan(secs, sr.Kind() == snap.KindSharded, o)
+	if verr := verify(); verr != nil {
+		return nil, verr
+	}
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // planSections validates the fixed section sequence of a plan snapshot —
@@ -245,96 +203,20 @@ func planSections(secs []snap.Section, nEngines int) (meta, dict, rawdb []byte, 
 	return meta, dict, rawdb, engs, sks, nil
 }
 
-// loadPrepared decodes an unsharded plan while the section checksum pass runs
-// concurrently (snap.Reader.Sections); the verify join gates every exit, and
-// a checksum failure wins over whatever the decode made of the bad bytes.
-func loadPrepared(sr *snap.Reader, o Options) (*Prepared, error) {
-	secs, verify, err := sr.Sections()
-	if err != nil {
-		return nil, err
-	}
-	p, err := decodePrepared(secs, o)
-	if verr := verify(); verr != nil {
-		return nil, verr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-func decodePrepared(secs []snap.Section, o Options) (*Prepared, error) {
-	meta, dictPl, rawPl, engPls, skPls, err := planSections(secs, 1)
-	if err != nil {
-		return nil, err
-	}
-	d := snap.NewDec(meta)
-	src := snap.DecodeQuery(d)
-	if d.Err() != nil || !d.Done() {
-		return nil, corruptf("bad meta section")
-	}
-	db, rd, err := decodeRawDB(dictPl, rawPl)
-	if err != nil {
-		return nil, err
-	}
-	d = snap.NewDec(engPls[0])
-	eng, err := snap.DecodeEngine(d, rd, db.inner, o.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	if !d.Done() {
-		return nil, corruptf("trailing bytes in engine section")
-	}
-	if eng.Source().String() != src.String() {
-		return nil, corruptf("engine query %s does not match plan query %s", eng.Source(), src)
-	}
-	p := &Prepared{q: src, db: db, eng: eng, opts: o}
-	for _, pl := range skPls {
-		d := snap.NewDec(pl)
-		spec := d.Str()
-		sum, err := snap.DecodeSummary(d)
-		if err != nil {
-			return nil, err
-		}
-		if !d.Done() {
-			return nil, corruptf("trailing bytes in sketch section")
-		}
-		f, err := adoptRanking(spec, p.q, &p.rankCanon)
-		if err != nil {
-			return nil, err
-		}
-		if p.sketches == nil {
-			p.sketches = make(map[*Ranking]*sketchEntry)
-		}
-		p.sketches[f] = &sketchEntry{sum: sum}
-	}
-	return p, nil
-}
-
-// loadSharded decodes a sharded plan with the same concurrent checksum
-// discipline as loadPrepared.
-func loadSharded(sr *snap.Reader, o Options) (*ShardedPrepared, error) {
-	secs, verify, err := sr.Sections()
-	if err != nil {
-		return nil, err
-	}
-	p, err := decodeSharded(secs, o)
-	if verr := verify(); verr != nil {
-		return nil, verr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-func decodeSharded(secs []snap.Section, o Options) (*ShardedPrepared, error) {
+// decodePlan decodes a plan of either kind. The two layouts differ only in
+// the shard count the sharded meta section carries and in the sharded
+// sketch sections' resolution and part count; the sharded kind replays the
+// partition through shard.Restore.
+func decodePlan(secs []snap.Section, sharded bool, o Options) (*Prepared, error) {
 	if len(secs) < 1 || secs[0].ID != snap.SecMeta {
 		return nil, corruptf("missing meta section")
 	}
 	d := snap.NewDec(secs[0].Payload)
 	src := snap.DecodeQuery(d)
-	shards := int(d.U32())
+	shards := 1
+	if sharded {
+		shards = int(d.U32())
+	}
 	if d.Err() != nil || !d.Done() {
 		return nil, corruptf("bad meta section")
 	}
@@ -349,38 +231,54 @@ func decodeSharded(secs []snap.Section, o Options) (*ShardedPrepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh, err := shard.Restore(src, db.inner, shards, o.Parallelism,
-		func(i int, q *Query, sdb *relation.Database, per int) (*engine.Engine, error) {
-			d := snap.NewDec(engPls[i])
-			eng, err := snap.DecodeEngine(d, rd, sdb, per)
-			if err != nil {
-				return nil, err
-			}
-			if !d.Done() {
-				return nil, corruptf("trailing bytes in engine section %d", i)
-			}
-			if eng.Query().String() != q.String() {
-				return nil, corruptf("shard %d engine query %s does not match partition query %s", i, eng.Query(), q)
-			}
-			return eng, nil
-		})
-	if err != nil {
-		return nil, asSnapshotErr(err)
+	p := &Prepared{q: src, db: db, opts: o}
+	if sharded {
+		sh, err := shard.Restore(src, db.inner, shards, o.Parallelism,
+			func(i int, q *Query, sdb *relation.Database, per int) (*engine.Engine, error) {
+				d := snap.NewDec(engPls[i])
+				eng, err := snap.DecodeEngine(d, rd, sdb, per)
+				if err != nil {
+					return nil, err
+				}
+				if !d.Done() {
+					return nil, corruptf("trailing bytes in engine section %d", i)
+				}
+				if eng.Query().String() != q.String() {
+					return nil, corruptf("shard %d engine query %s does not match partition query %s", i, eng.Query(), q)
+				}
+				return eng, nil
+			})
+		if err != nil {
+			return nil, asSnapshotErr(err)
+		}
+		p.sh, p.engs = sh, sh.Engines()
+	} else {
+		d = snap.NewDec(engPls[0])
+		eng, err := snap.DecodeEngine(d, rd, db.inner, o.Parallelism)
+		if err != nil {
+			return nil, err
+		}
+		if !d.Done() {
+			return nil, corruptf("trailing bytes in engine section")
+		}
+		if eng.Source().String() != src.String() {
+			return nil, corruptf("engine query %s does not match plan query %s", eng.Source(), src)
+		}
+		p.engs = []*engine.Engine{eng}
 	}
-	p := &ShardedPrepared{q: src, db: db, sh: sh, opts: o}
-	engs := sh.Engines()
 	for _, pl := range skPls {
 		d := snap.NewDec(pl)
 		spec := d.Str()
-		res := d.F64()
-		nparts := int(d.U32())
+		if sharded {
+			d.F64() // the resolution, which every part also records
+			if nparts := int(d.U32()); d.Err() == nil && nparts != shards {
+				return nil, corruptf("sketch %q has %d parts, plan has %d shards", spec, nparts, shards)
+			}
+		}
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
-		if nparts != shards {
-			return nil, corruptf("sketch %q has %d parts, plan has %d shards", spec, nparts, shards)
-		}
-		parts := make([]*sketch.Summary, nparts)
+		parts := make([]*sketch.Summary, shards)
 		for i := range parts {
 			if parts[i], err = snap.DecodeSummary(d); err != nil {
 				return nil, err
@@ -393,18 +291,27 @@ func decodeSharded(secs []snap.Section, o Options) (*ShardedPrepared, error) {
 		if err != nil {
 			return nil, err
 		}
-		merged := parts[0]
-		if len(parts) > 1 {
-			// Merge is deterministic, so the rebuilt merge is byte-identical
-			// to the one the saver held.
-			merged = sketch.Merge(parts, f.Compare)
-		}
 		if p.sketches == nil {
-			p.sketches = make(map[*Ranking]*shardSketchEntry)
+			p.sketches = make(map[*Ranking]*sketchEntry)
 		}
-		p.sketches[f] = &shardSketchEntry{parts: parts, engs: engs, merged: merged, res: res}
+		p.sketches[f] = newSketchEntry(parts, p.engs, f)
 	}
 	return p, nil
+}
+
+// writeRawDB writes the dictionary and raw database sections that plan and
+// dataset snapshots share. The returned RelWriter carries the relation
+// backref registry into the engine sections.
+func writeRawDB(sw *snap.Writer, db *DB) (*snap.RelWriter, error) {
+	var e snap.Enc
+	snap.EncodeDict(&e, db.inner.Dict())
+	if err := sw.Section(snap.SecDict, e.Bytes()); err != nil {
+		return nil, err
+	}
+	rw := snap.NewRelWriter()
+	e = snap.Enc{}
+	snap.EncodeDatabase(&e, rw, db.inner)
+	return rw, sw.Section(snap.SecRawDB, e.Bytes())
 }
 
 // decodeRawDB decodes the dictionary and raw database sections, attaching
@@ -480,15 +387,7 @@ func SnapshotDataset(w io.Writer, db *DB, meta DatasetMeta) error {
 	if err := sw.Section(snap.SecMeta, e.Bytes()); err != nil {
 		return err
 	}
-	e = snap.Enc{}
-	snap.EncodeDict(&e, db.inner.Dict())
-	if err := sw.Section(snap.SecDict, e.Bytes()); err != nil {
-		return err
-	}
-	rw := snap.NewRelWriter()
-	e = snap.Enc{}
-	snap.EncodeDatabase(&e, rw, db.inner)
-	if err := sw.Section(snap.SecRawDB, e.Bytes()); err != nil {
+	if _, err := writeRawDB(sw, db); err != nil {
 		return err
 	}
 	return sw.Close()
@@ -504,7 +403,7 @@ func LoadDataset(r io.Reader) (*DB, DatasetMeta, error) {
 }
 
 // LoadDatasetBytes is LoadDataset over an in-memory snapshot (see
-// LoadPreparedBytes for the aliasing contract).
+// LoadPlanBytes for the aliasing contract).
 func LoadDatasetBytes(b []byte) (*DB, DatasetMeta, error) {
 	sr, err := snap.NewReaderBytes(b)
 	if err != nil {
@@ -563,80 +462,4 @@ func asSnapshotErr(err error) error {
 		}
 	}
 	return fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
-}
-
-// Snapshot writes the sharded plan to w: raw database, dictionary, one
-// engine section per shard, and the warm per-shard sketch summaries. See
-// Prepared.Snapshot for the byte-identity contract; LoadShardedPrepared
-// restores it.
-func (p *ShardedPrepared) Snapshot(w io.Writer) error {
-	raw := p.DB()
-	sw := snap.NewWriter(w, snap.KindSharded)
-
-	var e snap.Enc
-	snap.EncodeQuery(&e, p.q)
-	e.U32(uint32(p.sh.Shards()))
-	if err := sw.Section(snap.SecMeta, e.Bytes()); err != nil {
-		return err
-	}
-	e = snap.Enc{}
-	snap.EncodeDict(&e, raw.inner.Dict())
-	if err := sw.Section(snap.SecDict, e.Bytes()); err != nil {
-		return err
-	}
-	rw := snap.NewRelWriter()
-	e = snap.Enc{}
-	snap.EncodeDatabase(&e, rw, raw.inner)
-	if err := sw.Section(snap.SecRawDB, e.Bytes()); err != nil {
-		return err
-	}
-	for _, eng := range p.sh.Engines() {
-		e = snap.Enc{}
-		snap.EncodeEngine(&e, rw, eng)
-		if err := sw.Section(snap.SecEngine, e.Bytes()); err != nil {
-			return err
-		}
-	}
-	for _, s := range p.snapshotSketches() {
-		e = snap.Enc{}
-		e.Str(s.spec)
-		e.F64(s.entry.res)
-		e.U32(uint32(len(s.entry.parts)))
-		for _, part := range s.entry.parts {
-			snap.EncodeSummary(&e, part)
-		}
-		if err := sw.Section(snap.SecSketch, e.Bytes()); err != nil {
-			return err
-		}
-	}
-	return sw.Close()
-}
-
-// specShardSketch is one serializable sharded sketch entry.
-type specShardSketch struct {
-	spec  string
-	entry *shardSketchEntry
-}
-
-// snapshotSketches collects the sharded plan's serializable sketch entries:
-// those certified against the current engine vector (anything else would
-// need re-certification the loader cannot perform) with a wire-formattable
-// ranking, sorted by spec for deterministic output.
-func (p *ShardedPrepared) snapshotSketches() []specShardSketch {
-	engs := p.sh.Engines()
-	p.skMu.Lock()
-	defer p.skMu.Unlock()
-	var out []specShardSketch
-	for f, en := range p.sketches {
-		if f.Weight != nil || !sameEngines(en.engs, engs) {
-			continue
-		}
-		spec, err := FormatRanking(f)
-		if err != nil {
-			continue
-		}
-		out = append(out, specShardSketch{spec, en})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].spec < out[j].spec })
-	return out
 }

@@ -202,20 +202,13 @@ func TestSnapshotTypedErrors(t *testing.T) {
 		t.Fatalf("pristine snapshot failed to load: %v", err)
 	}
 
-	// Kind mismatch: an unsharded stream refused by the sharded loader (and
-	// vice versa) without partial decode.
-	if _, err := qjoin.LoadShardedPrepared(bytes.NewReader(good)); !errors.Is(err, qjoin.ErrSnapshotCorrupt) {
-		t.Fatalf("sharded loader accepted an unsharded stream: %v", err)
-	}
-	sp, err := qjoin.PrepareSharded(inst.q, inst.db, 2)
-	if err != nil {
+	// Kind mismatch: a dataset snapshot is not a plan, so LoadPlan refuses
+	// it without partial decode.
+	var dbuf bytes.Buffer
+	if err := qjoin.SnapshotDataset(&dbuf, inst.db, qjoin.DatasetMeta{Name: "d", Gen: 1}); err != nil {
 		t.Fatal(err)
 	}
-	var sbuf bytes.Buffer
-	if err := sp.Snapshot(&sbuf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := qjoin.LoadPrepared(bytes.NewReader(sbuf.Bytes())); !errors.Is(err, qjoin.ErrSnapshotCorrupt) {
-		t.Fatalf("unsharded loader accepted a sharded stream: %v", err)
+	if got, err := load(dbuf.Bytes()); !errors.Is(err, qjoin.ErrSnapshotCorrupt) || got != nil {
+		t.Fatalf("LoadPlan on a dataset stream: plan %v, err %v", got, err)
 	}
 }

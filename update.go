@@ -46,7 +46,10 @@ func (d *DB) Apply(delta *Delta) (*DB, error) {
 // Update derives a plan reflecting the delta without recompiling: the
 // change propagates through the compiled artifact (deduplicated relations,
 // per-node materializations, join-group indexes, counting state) in time
-// proportional to the touched data, not the database size.
+// proportional to the touched data, not the database size. On a sharded
+// plan only the shards owning the delta's key hashes are rebuilt; the other
+// shard engines are shared with the receiver untouched, so a delta localized
+// to one shard costs ~1/N of the unsharded update.
 //
 // The receiver is unchanged and stays fully usable — Update is a
 // copy-on-write swap. The derived plan shares every structure the delta did
@@ -60,11 +63,21 @@ func (d *DB) Apply(delta *Delta) (*DB, error) {
 // untouched — with ErrDeleteAbsent when a delete has no occurrence left,
 // and on rows that do not match the schema.
 func (p *Prepared) Update(d *Delta) (*Prepared, error) {
-	eng, err := p.eng.Update(d)
-	if err != nil {
-		return nil, err
+	next := &Prepared{q: p.q, opts: p.opts}
+	if p.sh != nil {
+		sh, err := p.sh.Update(d)
+		if err != nil {
+			return nil, err
+		}
+		next.sh, next.engs = sh, sh.Engines()
+	} else {
+		eng, err := p.engs[0].Update(d)
+		if err != nil {
+			return nil, err
+		}
+		next.engs = []*engine.Engine{eng}
 	}
-	if eng == p.eng {
+	if sameEngines(next.engs, p.engs) {
 		return p, nil // empty delta: nothing changed
 	}
 	p.dbMu.Lock()
@@ -85,19 +98,18 @@ func (p *Prepared) Update(d *Delta) (*Prepared, error) {
 	}
 	// Snapshot the delta: the chain is replayed lazily by DB(), and the
 	// caller may keep building on d after this call returns.
-	return &Prepared{
-		q: p.q, eng: eng, opts: p.opts,
-		baseDB: base,
-		deltas: append(chain[:len(chain):len(chain)], d.Clone()),
-		// Sketch summaries carry over marked stale: the first approximate
-		// query (or WarmSketches) re-certifies their anchors against the
-		// updated engine instead of rebuilding from scratch. The ranking
-		// intern table rides along so carried summaries stay reachable by
-		// spec-equivalent rankings.
-		sketches:  p.carrySketches(),
-		rankCanon: carryRankCanon(&p.skMu, p.rankCanon),
-	}, nil
+	next.baseDB = base
+	next.deltas = append(chain[:len(chain):len(chain)], d.Clone())
+	// Sketch summaries carry over: the first approximate query (or
+	// WarmSketches) re-certifies the parts of engines the delta replaced
+	// instead of rebuilding from scratch. The ranking intern table rides
+	// along so carried summaries stay reachable by spec-equivalent rankings.
+	next.sketches, next.rankCanon = p.carrySketches()
+	return next, nil
 }
+
+// UpdatePlan is Update under the name serving layers program against.
+func (p *Prepared) UpdatePlan(d *Delta) (Plan, error) { return p.Update(d) }
 
 // maxDeltaChain caps how many deltas a derived plan may accumulate before
 // Update folds them into a materialized database.
