@@ -12,10 +12,11 @@ package qjoin
 // certified and falls back to the exact engine — byte-identical to the
 // legacy path — otherwise.
 //
-// Summaries are keyed by the *Ranking pointer (the same convention as the
-// engine's trim cache): reuse the Ranking value across calls to reuse its
-// summary. The serving layer interns rankings per cache entry, so HTTP
-// traffic hits warm summaries.
+// Summaries are keyed by ranking identity (ranking.Key, the same key as the
+// engine's trim cache): any Ranking equal in aggregate and variables finds
+// the summary, whether the caller reuses one value, builds a fresh one per
+// call, or LoadPlan parsed it from a snapshot. A ranking with a custom Weight
+// func is identified by its pointer.
 
 import (
 	"maps"
@@ -24,6 +25,7 @@ import (
 	"github.com/quantilejoins/qjoin/internal/core"
 	"github.com/quantilejoins/qjoin/internal/counting"
 	"github.com/quantilejoins/qjoin/internal/engine"
+	"github.com/quantilejoins/qjoin/internal/ranking"
 	"github.com/quantilejoins/qjoin/internal/sketch"
 )
 
@@ -94,13 +96,15 @@ const (
 // at unless a ModeApprox request asks for finer (see core.DefaultSketchEps).
 const DefaultSketchEps = core.DefaultSketchEps
 
-// sketchEntry is one ranking's sketch state: one summary per engine, the
-// engine each was certified against, and their merge (the one part itself
-// on a one-engine plan). An entry is stale for a plan whose engine vector
-// differs: Update replaces exactly the engines a delta touched, so pointer
-// inequality identifies the parts to re-certify, and untouched parts carry
-// over with no work. Entries are immutable once stored.
+// sketchEntry is one ranking's sketch state: the ranking it was built for,
+// one summary per engine, the engine each was certified against, and their
+// merge (the one part itself on a one-engine plan). An entry is stale for a
+// plan whose engine vector differs: Update replaces exactly the engines a
+// delta touched, so pointer inequality identifies the parts to re-certify,
+// and untouched parts carry over with no work. Entries are immutable once
+// stored.
 type sketchEntry struct {
+	rank   *Ranking
 	parts  []*sketch.Summary
 	engs   []*engine.Engine
 	merged *sketch.Summary
@@ -109,33 +113,6 @@ type sketchEntry struct {
 // resCovers reports whether a summary built at resolution have serves a
 // request for resolution want (finer-or-equal, with float slack).
 func resCovers(have, want float64) bool { return have <= want*(1+1e-9) }
-
-// canonRanking maps a ranking to the plan's canonical pointer for its wire
-// spec, registering f as canonical on first sight. Summaries are keyed by
-// *Ranking pointer; interning by spec means two equivalent Ranking values —
-// in particular one minted by LoadPlan for a snapshot's sketch sections
-// and one the caller builds later — share a single summary. Rankings with a
-// custom Weight function have no wire form and stay keyed by their own
-// pointer.
-func (p *Prepared) canonRanking(f *Ranking) *Ranking {
-	if f == nil || f.Weight != nil {
-		return f
-	}
-	spec, err := FormatRanking(f)
-	if err != nil {
-		return f
-	}
-	p.skMu.Lock()
-	defer p.skMu.Unlock()
-	if g := p.rankCanon[spec]; g != nil {
-		return g
-	}
-	if p.rankCanon == nil {
-		p.rankCanon = make(map[string]*Ranking)
-	}
-	p.rankCanon[spec] = f
-	return f
-}
 
 // Answer is the unified quantile entry point: one request struct selects the
 // tier (exact engine, sketch summary, or sampling), and the answer reports
@@ -200,17 +177,15 @@ func (p *Prepared) AnswerStats(f *Ranking, req QuantileRequest, opts ...Options)
 // queries stay O(entries) cache hits.
 func (p *Prepared) WarmSketches() error {
 	p.skMu.Lock()
-	var fs []*Ranking
-	var res []float64
-	for f, e := range p.sketches {
+	var stale []*sketchEntry
+	for _, e := range p.sketches {
 		if !sameEngines(e.engs, p.engs) {
-			fs = append(fs, f)
-			res = append(res, e.merged.Res)
+			stale = append(stale, e)
 		}
 	}
 	p.skMu.Unlock()
-	for i, f := range fs {
-		if _, err := p.summaryFor(f, res[i], p.opts); err != nil {
+	for _, e := range stale {
+		if _, err := p.summaryFor(e.rank, e.merged.Res, p.opts); err != nil {
 			return err
 		}
 	}
@@ -221,9 +196,9 @@ func (p *Prepared) WarmSketches() error {
 // finer), building, re-certifying and re-merging only what the engine
 // vector says is out of date, and caching the result.
 func (p *Prepared) summaryFor(f *Ranking, res float64, o Options) (*sketch.Summary, error) {
-	f = p.canonRanking(f)
+	key := f.Key()
 	p.skMu.Lock()
-	e := p.sketches[f]
+	e := p.sketches[key]
 	p.skMu.Unlock()
 	if e != nil && resCovers(e.merged.Res, res) && sameEngines(e.engs, p.engs) {
 		return e.merged, nil
@@ -258,11 +233,11 @@ func (p *Prepared) summaryFor(f *Ranking, res float64, o Options) (*sketch.Summa
 	next := newSketchEntry(parts, p.engs, f)
 	p.skMu.Lock()
 	if p.sketches == nil {
-		p.sketches = make(map[*Ranking]*sketchEntry)
+		p.sketches = make(map[ranking.Key]*sketchEntry)
 	}
 	// Racing builds store equivalent summaries; keep the finest fresh one.
-	if cur := p.sketches[f]; cur == nil || !sameEngines(cur.engs, p.engs) || resCovers(buildRes, cur.merged.Res) {
-		p.sketches[f] = next
+	if cur := p.sketches[key]; cur == nil || !sameEngines(cur.engs, p.engs) || resCovers(buildRes, cur.merged.Res) {
+		p.sketches[key] = next
 	}
 	p.skMu.Unlock()
 	return next.merged, nil
@@ -275,7 +250,7 @@ func newSketchEntry(parts []*sketch.Summary, engs []*engine.Engine, f *Ranking) 
 	if len(parts) > 1 {
 		merged = sketch.Merge(parts, f.Compare)
 	}
-	return &sketchEntry{parts: parts, engs: engs, merged: merged}
+	return &sketchEntry{rank: f, parts: parts, engs: engs, merged: merged}
 }
 
 // autoSummary is the summary ModeAuto may serve from: any already-built
@@ -284,9 +259,8 @@ func newSketchEntry(parts []*sketch.Summary, engs []*engine.Engine, f *Ranking) 
 // certify it. ModeAuto never builds finer than DefaultSketchEps — tighter
 // requests belong to the exact tier (or an explicit ModeApprox).
 func (p *Prepared) autoSummary(f *Ranking, eps float64, o Options) (*sketch.Summary, error) {
-	f = p.canonRanking(f)
 	p.skMu.Lock()
-	e := p.sketches[f]
+	e := p.sketches[f.Key()]
 	p.skMu.Unlock()
 	if e == nil && eps < core.DefaultSketchEps {
 		return nil, nil
@@ -298,15 +272,13 @@ func (p *Prepared) autoSummary(f *Ranking, eps float64, o Options) (*sketch.Summ
 	return p.summaryFor(f, res, o)
 }
 
-// carrySketches hands the receiver's sketch state — the entries and the
-// ranking intern table, so canonical pointers and with them the summaries
-// survive — to the plan derived by Update. Entries are immutable once
-// stored, so sharing them is safe; the derived plan's engine vector
-// identifies the stale parts on first use.
-func (p *Prepared) carrySketches() (map[*Ranking]*sketchEntry, map[string]*Ranking) {
+// carrySketches hands the receiver's sketch entries to the plan derived by
+// Update. Entries are immutable once stored, so sharing them is safe; the
+// derived plan's engine vector identifies the stale parts on first use.
+func (p *Prepared) carrySketches() map[ranking.Key]*sketchEntry {
 	p.skMu.Lock()
 	defer p.skMu.Unlock()
-	return maps.Clone(p.sketches), maps.Clone(p.rankCanon)
+	return maps.Clone(p.sketches)
 }
 
 func sameEngines(a, b []*engine.Engine) bool {

@@ -1,4 +1,4 @@
-// Benchmarks, one per experiment id of DESIGN.md §4 / EXPERIMENTS.md.
+// Benchmarks, one per experiment id of cmd/qjbench.
 // cmd/qjbench runs the full parameter sweeps and prints the recorded tables;
 // these testing.B benches pin one representative configuration per
 // experiment so `go test -bench=. -benchmem` tracks regressions.

@@ -1,4 +1,4 @@
-// Command qjbench regenerates the experiments recorded in EXPERIMENTS.md.
+// Command qjbench runs the experiments and prints their tables.
 //
 // The paper (PODS 2023) is a theory paper; each experiment validates one of
 // its figures or theorems empirically: scaling exponents for the quasilinear

@@ -337,11 +337,11 @@
 //   - One *Prepared may serve any number of concurrent readers, and any
 //     number of distinct Ranking values: a plan depends only on the
 //     (Query, DB) pair, so queries under different rankings share it.
-//   - The engine memoizes its trim preparation per Ranking pointer. A
-//     caller that re-creates an equal Ranking per query is correct but
-//     repeats that preparation; long-lived callers should intern one
-//     Ranking instance per ranking spec and reuse it (the server's plan
-//     cache does exactly this).
+//   - A plan memoizes its trim preparation and sketch summaries per
+//     ranking value: the aggregate and the ranked variables. A Ranking
+//     built afresh for each query finds them warm, so callers need not
+//     intern rankings (the server passes each request's own parsed one).
+//     Only a Ranking with a custom Weight func is matched by pointer.
 //   - Update may run concurrently with reads of the receiver and returns a
 //     new plan; old and new plans are independently usable, so a cache can
 //     migrate entries to the post-delta plan while in-flight requests
@@ -359,7 +359,6 @@
 // The implementation is a faithful, fully self-contained reproduction: GYO
 // join trees, Yannakakis evaluation, linear-time c-pivot selection by
 // message passing (Algorithm 2), the four trimming constructions of
-// Sections 5 and 6, and the divide-and-conquer driver of Algorithm 1. See
-// DESIGN.md for the system inventory and EXPERIMENTS.md for the reproduced
-// results.
+// Sections 5 and 6, and the divide-and-conquer driver of Algorithm 1.
+// cmd/qjbench reproduces the experiments.
 package qjoin

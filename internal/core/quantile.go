@@ -111,9 +111,18 @@ type trimmer struct {
 	lossy   bool
 }
 
-// makeTrimmer selects the trimming construction for the ranking function,
-// enforcing the dichotomy for exact SUM.
-func makeTrimmer(q *query.Query, f *ranking.Func, opts Options) (*trimmer, error) {
+// exactTrimsAvailable reports whether the ranking admits exact trims on the
+// engine's query: everything except SUM outside the tractable class, per the
+// dichotomy of Theorem 5.6, or any SUM under Options.ForceLossy. The SUM
+// verdict comes from the engine's trim cache, so only the first run per
+// ranking pays for the join-tree enumeration.
+func exactTrimsAvailable(eng *engine.Engine, f *ranking.Func, opts Options) bool {
+	return f.Agg != ranking.Sum || !opts.ForceLossy && eng.TrimCache().AdjacentPair(eng.Query(), f) == nil
+}
+
+// makeTrimmer selects the trimming construction for the ranking function on
+// the engine's query, enforcing the dichotomy for exact SUM.
+func makeTrimmer(eng *engine.Engine, f *ranking.Func, opts Options) (*trimmer, error) {
 	switch f.Agg {
 	case ranking.Min, ranking.Max:
 		return &trimmer{
@@ -134,13 +143,7 @@ func makeTrimmer(q *query.Query, f *ranking.Func, opts Options) (*trimmer, error
 			},
 		}, nil
 	case ranking.Sum:
-		exactOK := false
-		if !opts.ForceLossy {
-			if _, _, _, err := jointree.BuildAdjacentPair(q, f.Vars); err == nil {
-				exactOK = true
-			}
-		}
-		if exactOK {
+		if exactTrimsAvailable(eng, f, opts) {
 			return &trimmer{
 				less: func(inst trim.Instance, w ranking.Weightv, _ float64) (trim.Instance, error) {
 					return trim.SumAdjacent(inst, f, w.K, trim.Less)
@@ -347,7 +350,7 @@ func run(engs []*engine.Engine, f *ranking.Func, opts Options, pickIndex func(to
 	if total.IsZero() {
 		return nil, stats, ErrNoAnswers
 	}
-	trm, err := makeTrimmer(engs[0].Query(), f, opts)
+	trm, err := makeTrimmer(engs[0], f, opts)
 	if err != nil {
 		return nil, stats, err
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"errors"
-
 	"github.com/quantilejoins/qjoin/internal/counting"
 	"github.com/quantilejoins/qjoin/internal/engine"
 	"github.com/quantilejoins/qjoin/internal/parallel"
@@ -36,10 +34,7 @@ func BuildSummary(eng *engine.Engine, f *ranking.Func, res float64, opts Options
 	if n.IsZero() {
 		return sketch.New(nil, n, res, false, f.Compare), nil
 	}
-	exact, err := exactTrimsAvailable(eng, f, opts)
-	if err != nil {
-		return nil, err
-	}
+	exact := exactTrimsAvailable(eng, f, opts)
 	o := opts
 	o.CollectPhases = false
 	widen := counting.Count{}
@@ -109,10 +104,7 @@ func RefreshSummary(eng *engine.Engine, f *ranking.Func, s *sketch.Summary, opts
 	if n.IsZero() {
 		return sketch.New(nil, n, res, false, f.Compare), nil
 	}
-	exact, err := exactTrimsAvailable(eng, f, opts)
-	if err != nil {
-		return nil, err
-	}
+	exact := exactTrimsAvailable(eng, f, opts)
 	o := opts
 	selEps := 0.0
 	widen := counting.Count{}
@@ -123,7 +115,7 @@ func RefreshSummary(eng *engine.Engine, f *ranking.Func, s *sketch.Summary, opts
 	} else {
 		o.Epsilon = 0
 	}
-	trm, err := makeTrimmer(eng.Query(), f, o)
+	trm, err := makeTrimmer(eng, f, o)
 	if err != nil {
 		return nil, err
 	}
@@ -169,19 +161,4 @@ func RefreshSummary(eng *engine.Engine, f *ranking.Func, s *sketch.Summary, opts
 		return nil, nil // every anchor died: rebuild
 	}
 	return sketch.New(entries, n, res, !exact, f.Compare), nil
-}
-
-// exactTrimsAvailable reports whether the ranking admits exact trims on this
-// query (everything except SUM outside the tractable class, per the
-// dichotomy of Theorem 5.6 — or any SUM under Options.ForceLossy).
-func exactTrimsAvailable(eng *engine.Engine, f *ranking.Func, opts Options) (bool, error) {
-	probe := opts
-	probe.Epsilon = 0
-	if _, err := makeTrimmer(eng.Query(), f, probe); err != nil {
-		if errors.Is(err, ErrIntractable) {
-			return false, nil
-		}
-		return false, err
-	}
-	return true, nil
 }

@@ -11,6 +11,7 @@
 package ranking
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -86,6 +87,32 @@ func (f *Func) W(v query.Var, x relation.Value) int64 {
 		return x
 	}
 	return f.Weight(v, x)
+}
+
+// Key is a ranking function's identity: two rankings with equal keys order
+// every answer identically, so λ-independent preparations and summaries
+// built for one serve the other. Keys are comparable map keys.
+type Key struct {
+	f   *Func  // custom-weight rankings: pointer identity
+	sig string // default-weight rankings: Agg plus the variable list
+}
+
+// Key returns f's identity. A default-weight ranking (Weight == nil) is a
+// value: its aggregate and ranked variables, so a freshly built equal
+// ranking has the same key. A custom Weight func cannot be compared by
+// value, so such a ranking is identified by its pointer.
+func (f *Func) Key() Key {
+	if f.Weight != nil {
+		return Key{f: f}
+	}
+	// Length-prefixed variables: no separator byte can make two different
+	// variable lists collide.
+	sig := binary.AppendUvarint(nil, uint64(f.Agg))
+	for _, v := range f.Vars {
+		sig = binary.AppendUvarint(sig, uint64(len(v)))
+		sig = append(sig, v...)
+	}
+	return Key{sig: string(sig)}
 }
 
 // Validate checks the ranking against a query.

@@ -251,3 +251,25 @@ func TestIsRanked(t *testing.T) {
 		t.Fatal("IsRanked wrong")
 	}
 }
+
+func TestKeyIdentity(t *testing.T) {
+	if NewSum("x", "y").Key() != NewSum("x", "y").Key() {
+		t.Fatal("equal default-weight rankings have different keys")
+	}
+	for _, pair := range [][2]*Func{
+		{NewSum("x", "y"), NewSum("y", "x")},
+		{NewSum("x"), NewMin("x")},
+		{NewLex("x", "y"), NewLex("x")},
+		{NewSum("a\x00b"), NewSum("a", "b")}, // no separator byte collides
+		{NewMax("ab"), NewMax("a", "b")},
+	} {
+		if pair[0].Key() == pair[1].Key() {
+			t.Fatalf("%v and %v share a key", pair[0].Vars, pair[1].Vars)
+		}
+	}
+	w := func(query.Var, relation.Value) int64 { return 1 }
+	a, b := &Func{Agg: Sum, Vars: []query.Var{"x"}, Weight: w}, &Func{Agg: Sum, Vars: []query.Var{"x"}, Weight: w}
+	if a.Key() == b.Key() || a.Key() != a.Key() {
+		t.Fatal("custom-weight rankings must be identified by pointer")
+	}
+}

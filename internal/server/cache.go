@@ -10,36 +10,32 @@ import (
 	"github.com/quantilejoins/qjoin"
 )
 
-// PlanCache maps (dataset, generation, canonical query, ranking spec,
-// workers) to a compiled qjoin.Plan — one engine, or one per shard when the
-// dataset is sharded (PrepareSharded) — with
+// PlanCache maps (dataset, generation, canonical query, workers) to a
+// compiled qjoin.Plan — one engine, or one per shard when the dataset is
+// sharded (PrepareSharded) — with
 //
-//   - LRU eviction bounded by a capacity,
+//   - one entry per plan: a plan depends only on the (query, database) pair,
+//     so every ranking over the same query shares it, and the capacity
+//     bounds plans,
+//   - LRU eviction bounded by that capacity,
 //   - singleflight deduplication: concurrent requests for the same missing
-//     key wait for one Prepare instead of compiling in parallel,
-//   - plan sharing across rankings: a Prepared plan depends only on the
-//     (query, database) pair, so an entry for the same query under a new
-//     ranking reuses the sibling entry's plan without re-preparing,
+//     plan — under any rankings — wait for one Prepare instead of compiling
+//     in parallel,
 //   - migration: a delta moves every entry of the touched dataset to the
 //     next generation via Prepared.Update instead of invalidating it,
 //   - panic containment: a prepare that panics fails its flight with an
 //     error (every waiter returns; the panic is counted) instead of taking
 //     the process down.
 //
-// The ranking instance is interned in the entry and returned to every
-// caller: the engine memoizes its trim preparation per ranking *pointer*,
-// so handing each request a freshly parsed ranking would defeat the warm
-// path. Using the entry's canonical instance keeps repeat queries hot.
+// Rankings are not part of the key. The plan keys its λ-independent trim
+// preparations and sketch summaries by ranking value (ranking.Key), so the
+// ranking each request parses afresh finds them warm.
 type PlanCache struct {
 	mu       sync.Mutex
 	cap      int
 	ll       *list.List // front = most recently used; values are *entry
 	byKey    map[string]*list.Element
 	inflight map[string]*flight
-	// byPlanKey indexes the in-flight compiles by plan key (dataset, gen,
-	// query, workers — no ranking): a cold request under a second ranking
-	// attaches to the running compile instead of duplicating it.
-	byPlanKey map[string]*flight
 
 	// Counters (guarded by mu; read via Stats).
 	hits, misses, coalesced int64
@@ -48,25 +44,20 @@ type PlanCache struct {
 	panics                  atomic.Int64 // prepares whose panic was recovered
 }
 
-// entry is one cached plan. rank holds the canonical interned ranking
-// parsed by the request that created the entry (nil for rank-less count
-// plans).
+// entry is one cached plan.
 type entry struct {
 	key     string
 	dataset string
 	gen     uint64
 	query   string
-	rankStr string
 	workers int
 	plan    qjoin.Plan
-	rank    *qjoin.Ranking
 }
 
 // flight is one in-progress Prepare that latecomers wait on.
 type flight struct {
 	done chan struct{}
 	plan qjoin.Plan
-	rank *qjoin.Ranking
 	err  error
 }
 
@@ -76,32 +67,23 @@ func NewPlanCache(capacity int) *PlanCache {
 		capacity = 1
 	}
 	return &PlanCache{
-		cap:       capacity,
-		ll:        list.New(),
-		byKey:     make(map[string]*list.Element),
-		inflight:  make(map[string]*flight),
-		byPlanKey: make(map[string]*flight),
+		cap:      capacity,
+		ll:       list.New(),
+		byKey:    make(map[string]*list.Element),
+		inflight: make(map[string]*flight),
 	}
 }
 
-// key builds the cache key. The query and ranking strings are the canonical
-// wire forms (FormatQuery / FormatRanking), so equivalent requests collide.
-func key(dataset string, gen uint64, query, rank string, workers int) string {
-	return fmt.Sprintf("%s\x00%d\x00%s\x00%s\x00%d", dataset, gen, query, rank, workers)
-}
-
-// planKey is the ranking-independent part of the cache key — the identity
-// of the compiled qjoin.Plan itself.
-func planKey(dataset string, gen uint64, query string, workers int) string {
+// key builds the cache key. The query string is the canonical wire form
+// (FormatQuery), so spelling variants of one query collide.
+func key(dataset string, gen uint64, query string, workers int) string {
 	return fmt.Sprintf("%s\x00%d\x00%s\x00%d", dataset, gen, query, workers)
 }
 
 // Get returns the plan for the key, preparing it with prepare() on a miss.
-// rank is the caller's parsed ranking (nil for count-only queries); the
-// returned ranking is the cache's interned instance for this key and must
-// be used for the query instead of the caller's own. cached reports whether
-// the plan was served without a compile in this call (a singleflight
-// latecomer reports cached=false: it waited for the full compile).
+// cached reports whether the plan was served without a compile in this call
+// (a singleflight latecomer reports cached=false: it waited for the full
+// compile).
 //
 // The compile runs in a cache-owned goroutine, NOT under the caller's
 // context: every caller — the one that triggered it and every coalesced
@@ -110,119 +92,67 @@ func planKey(dataset string, gen uint64, query string, workers int) string {
 // for the next request. hold (optional) is invoked synchronously on the
 // compile path and its return value when the flight finishes, letting the
 // HTTP layer charge the detached compile to the caller's admission slot.
-func (c *PlanCache) Get(ctx context.Context, dataset string, gen uint64, query, rankStr string, workers int,
-	rank *qjoin.Ranking, hold func() func(), prepare func() (qjoin.Plan, error)) (plan qjoin.Plan, outRank *qjoin.Ranking, cached bool, err error) {
-	k := key(dataset, gen, query, rankStr, workers)
+func (c *PlanCache) Get(ctx context.Context, dataset string, gen uint64, query string, workers int,
+	hold func() func(), prepare func() (qjoin.Plan, error)) (plan qjoin.Plan, cached bool, err error) {
+	k := key(dataset, gen, query, workers)
 	c.mu.Lock()
 	if el, ok := c.byKey[k]; ok {
 		c.ll.MoveToFront(el)
-		e := el.Value.(*entry)
 		// Copy under the lock: Migrate rewrites entry fields in place.
-		p, r := e.plan, e.rank
+		p := el.Value.(*entry).plan
 		c.hits++
 		c.mu.Unlock()
-		return p, r, true, nil
+		return p, true, nil
 	}
-	pk := planKey(dataset, gen, query, workers)
-	if f, ok := c.inflight[k]; ok {
-		// The exact key is compiling: wait and use its entry as-is.
+	f, ok := c.inflight[k]
+	if ok {
 		c.coalesced++
 		c.mu.Unlock()
-		select {
-		case <-f.done:
-			return f.plan, f.rank, false, f.err
-		case <-ctx.Done():
-			return nil, nil, false, ctx.Err()
+	} else {
+		f = &flight{done: make(chan struct{})}
+		c.inflight[k] = f
+		c.misses++
+		c.prepares++
+		var release func()
+		if hold != nil {
+			release = hold()
 		}
-	}
-	if f, ok := c.byPlanKey[pk]; ok {
-		// The same plan is compiling for a different ranking: attach to
-		// that flight and insert this ranking's entry when it lands.
-		c.coalesced++
 		c.mu.Unlock()
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			return nil, nil, false, ctx.Err()
-		}
-		if f.err != nil {
-			return nil, nil, false, f.err
-		}
-		c.mu.Lock()
-		if el, ok := c.byKey[k]; ok { // another waiter inserted it first
-			e := el.Value.(*entry)
-			p, r := e.plan, e.rank
+		go func() {
+			if release != nil {
+				defer release()
+			}
+			var p qjoin.Plan
+			var err error
+			func() {
+				defer recoverPanic(&c.panics, &err)
+				p, err = prepare()
+			}()
+			c.mu.Lock()
+			delete(c.inflight, k)
+			if err == nil {
+				c.insertLocked(&entry{
+					key: k, dataset: dataset, gen: gen, query: query,
+					workers: workers, plan: p,
+				})
+			}
 			c.mu.Unlock()
-			return p, r, false, nil
-		}
-		c.insertLocked(&entry{
-			key: k, dataset: dataset, gen: gen, query: query,
-			rankStr: rankStr, workers: workers, plan: f.plan, rank: rank,
-		})
-		c.mu.Unlock()
-		return f.plan, rank, false, nil
-	}
-	// A sibling entry for the same (dataset, gen, query, workers) under a
-	// different ranking already compiled the plan we need: share it —
-	// served from the cache with no compile, so it counts as a hit.
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
-		if e.dataset == dataset && e.gen == gen && e.query == query && e.workers == workers {
-			c.insertLocked(&entry{
-				key: k, dataset: dataset, gen: gen, query: query,
-				rankStr: rankStr, workers: workers, plan: e.plan, rank: rank,
-			})
-			c.hits++
-			p := e.plan
-			c.mu.Unlock()
-			return p, rank, true, nil
-		}
-	}
-	f := &flight{done: make(chan struct{}), rank: rank}
-	c.inflight[k] = f
-	c.byPlanKey[pk] = f
-	c.misses++
-	c.prepares++
-	var release func()
-	if hold != nil {
-		release = hold()
-	}
-	c.mu.Unlock()
-	go func() {
-		if release != nil {
-			defer release()
-		}
-		var p qjoin.Plan
-		var err error
-		func() {
-			defer recoverPanic(&c.panics, &err)
-			p, err = prepare()
+			f.plan, f.err = p, err
+			close(f.done)
 		}()
-		c.mu.Lock()
-		delete(c.inflight, k)
-		delete(c.byPlanKey, pk)
-		if err == nil {
-			c.insertLocked(&entry{
-				key: k, dataset: dataset, gen: gen, query: query,
-				rankStr: rankStr, workers: workers, plan: p, rank: rank,
-			})
-		}
-		c.mu.Unlock()
-		f.plan, f.err = p, err
-		close(f.done)
-	}()
+	}
 	select {
 	case <-f.done:
-		return f.plan, f.rank, false, f.err
+		return f.plan, false, f.err
 	case <-ctx.Done():
-		return nil, nil, false, ctx.Err()
+		return nil, false, ctx.Err()
 	}
 }
 
 // insertLocked adds an entry at the LRU front and evicts beyond capacity.
 func (c *PlanCache) insertLocked(e *entry) {
 	if old, ok := c.byKey[e.key]; ok {
-		// A racing Get filled the same key first; keep the newer entry.
+		// A racing Migrate filled the same key first; keep the newer entry.
 		c.ll.Remove(old)
 		delete(c.byKey, e.key)
 	}
@@ -241,11 +171,10 @@ func (c *PlanCache) removeLocked(el *list.Element) {
 }
 
 // Migrate moves every entry of the dataset at oldGen to newGen by applying
-// the delta through Prepared.Update, preserving LRU order and plan sharing
-// (entries that shared one plan still share the derived plan). Entries of
-// the dataset at any other generation are stale strays — an in-flight
-// prepare that lost a race with an earlier delta — and are dropped. It
-// returns the number of migrated plans.
+// the delta through Prepared.Update. Entries of the dataset at any other
+// generation are stale strays — an in-flight prepare that lost a race with
+// an earlier delta — and are dropped. It returns the number of migrated
+// plans.
 //
 // Migrate runs inside the registry's writer critical section, before the
 // new snapshot becomes visible: a query that observes newGen always finds
@@ -273,31 +202,23 @@ func (c *PlanCache) Migrate(dataset string, oldGen, newGen uint64, delta *qjoin.
 		el = next
 	}
 	c.mu.Unlock()
-	if len(els) == 0 {
-		return 0
-	}
-	// Phase 2 (unlocked): derive each distinct plan once. Concurrent
-	// readers of the old plans are safe (Update is copy-on-write), and
-	// same-dataset writers are excluded by the registry's writer lock.
-	updated := make(map[qjoin.Plan]qjoin.Plan, len(plans))
-	for _, p := range plans {
-		if _, ok := updated[p]; ok {
-			continue
-		}
+	// Phase 2 (unlocked): derive each plan. Concurrent readers of the old
+	// plans are safe (Update is copy-on-write), and same-dataset writers
+	// are excluded by the registry's writer lock.
+	updated := make([]qjoin.Plan, len(plans))
+	for i, p := range plans {
 		up, err := p.UpdatePlan(delta)
 		if err != nil {
 			// Cannot happen for a delta the registry already applied to the
 			// raw database (the engine validates against the same multiset
 			// state); drop defensively rather than serve a stale generation.
-			up = nil
+			continue
 		}
-		if up != nil {
-			// Re-certify the carried sketch summaries off the request path,
-			// so post-delta approximate queries stay O(entries) cache hits.
-			// A warm failure is not fatal: the summaries rebuild lazily.
-			_ = up.WarmSketches()
-		}
-		updated[p] = up
+		// Re-certify the carried sketch summaries off the request path, so
+		// post-delta approximate queries stay O(entries) cache hits. A warm
+		// failure is not fatal: the summaries rebuild lazily.
+		_ = up.WarmSketches()
+		updated[i] = up
 	}
 	// Phase 3 (locked): re-key the collected entries. An entry evicted or
 	// dropped (DELETE /datasets) while unlocked is left alone.
@@ -309,15 +230,14 @@ func (c *PlanCache) Migrate(dataset string, oldGen, newGen uint64, delta *qjoin.
 		if c.byKey[e.key] != el || e.plan != plans[i] || e.gen != oldGen {
 			continue
 		}
-		up := updated[e.plan]
-		if up == nil {
+		if updated[i] == nil {
 			c.removeLocked(el)
 			c.drops++
 			continue
 		}
 		delete(c.byKey, e.key)
-		e.gen, e.plan = newGen, up
-		e.key = key(e.dataset, e.gen, e.query, e.rankStr, e.workers)
+		e.gen, e.plan = newGen, updated[i]
+		e.key = key(e.dataset, e.gen, e.query, e.workers)
 		c.byKey[e.key] = el
 		c.migrations++
 		n++

@@ -487,18 +487,7 @@ func (s *Server) execQuery(ctx context.Context, req *QueryRequest) (*QueryRespon
 	if workers == 0 {
 		workers = s.cfg.Parallelism
 	}
-	// Cache keys use the canonical wire forms, so spelling variants of the
-	// same query/ranking collide on one entry (and one interned ranking).
-	qstr := qjoin.FormatQuery(q)
-	rankStr := ""
-	if f != nil {
-		// Cannot fail: f came from ParseRanking, which never sets Weight.
-		rankStr, err = qjoin.FormatRanking(f)
-		if err != nil {
-			return nil, err
-		}
-	}
-	plan, f, cached, err := s.getPlan(ctx, req.Dataset, snap, q, qstr, rankStr, workers, f)
+	plan, cached, err := s.getPlan(ctx, req.Dataset, snap, q, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -506,7 +495,12 @@ func (s *Server) execQuery(ctx context.Context, req *QueryRequest) (*QueryRespon
 	resp := &QueryResponse{Dataset: req.Dataset, Generation: snap.Gen, Op: op, Cached: cached}
 	switch op {
 	case "count":
-		resp.Count = plan.Count().String()
+		// Counts are built lazily, so the first one runs engine work that
+		// can panic (a counter overflow) like any other op.
+		resp.Count, err = runCtx(ctx, &s.metrics.Panics, func() (string, error) { return plan.Count().String(), nil })
+		if err != nil {
+			return nil, err
+		}
 		return resp, nil
 	case "topk":
 		answers, err := runCtx(ctx, &s.metrics.Panics, func() ([]*qjoin.Answer, error) { return plan.TopK(f, req.K) })
@@ -569,13 +563,14 @@ func (s *Server) execQuery(ctx context.Context, req *QueryRequest) (*QueryRespon
 // compile through PrepareSharded (answers stay byte-identical to Prepare),
 // except for queries with no join variable to partition on and cyclic
 // queries, which fall back to the unsharded engine.
-func (s *Server) getPlan(ctx context.Context, dataset string, snap Snapshot, q *qjoin.Query, qstr, rankStr string,
-	workers int, f *qjoin.Ranking) (qjoin.Plan, *qjoin.Ranking, bool, error) {
+func (s *Server) getPlan(ctx context.Context, dataset string, snap Snapshot, q *qjoin.Query, workers int) (qjoin.Plan, bool, error) {
 	var hold func() func()
 	if tok := admitFrom(ctx); tok != nil {
 		hold = tok.hold
 	}
-	plan, f, cached, err := s.cache.Get(ctx, dataset, snap.Gen, qstr, rankStr, workers, f, hold,
+	// The canonical wire form keys the cache, so spelling variants of one
+	// query share a plan.
+	return s.cache.Get(ctx, dataset, snap.Gen, qjoin.FormatQuery(q), workers, hold,
 		func() (qjoin.Plan, error) {
 			if snap.Shards > 1 {
 				sp, err := qjoin.PrepareSharded(q, snap.DB, snap.Shards, qjoin.Options{Parallelism: workers})
@@ -588,10 +583,6 @@ func (s *Server) getPlan(ctx context.Context, dataset string, snap Snapshot, q *
 			}
 			return qjoin.Prepare(q, snap.DB, qjoin.Options{Parallelism: workers})
 		})
-	if err != nil {
-		return nil, nil, false, err
-	}
-	return plan, f, cached, nil
 }
 
 // errPanic marks engine work that panicked. The panic is recovered in the

@@ -11,7 +11,7 @@ import (
 )
 
 // TestPlanCacheCrossRankHerd: concurrent cold misses for the same query
-// under different rankings must run ONE compile (byPlanKey attachment).
+// under different rankings must run ONE compile (the key has no ranking).
 func TestPlanCacheCrossRankHerd(t *testing.T) {
 	c := server.NewPlanCache(8)
 	db := tinyDB(t)
@@ -33,8 +33,12 @@ func TestPlanCacheCrossRankHerd(t *testing.T) {
 			defer wg.Done()
 			started <- struct{}{}
 			f, _ := qjoin.ParseRanking(rs)
-			p, _, _, err := c.Get(context.Background(), "d", 1, "R(x,y),S(y,z)", rs, 1, f, nil, prepare)
+			p, _, err := c.Get(context.Background(), "d", 1, "R(x,y),S(y,z)", 1, nil, prepare)
 			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := p.Answer(f, qjoin.QuantileRequest{Phi: 0.5}); err != nil {
 				t.Error(err)
 			}
 			plans[i] = p
@@ -53,7 +57,7 @@ func TestPlanCacheCrossRankHerd(t *testing.T) {
 			t.Fatalf("plan %d not shared", i)
 		}
 	}
-	if c.Len() != len(ranks) {
-		t.Fatalf("cache has %d entries, want %d (one per ranking)", c.Len(), len(ranks))
+	if c.Len() != 1 {
+		t.Fatalf("cache has %d entries, want 1 (one per plan)", c.Len())
 	}
 }

@@ -111,7 +111,8 @@ func TestLoadAndQuery(t *testing.T) {
 	}
 
 	// The first quantile shares the count plan (same query, same workers):
-	// no second prepare — sibling sharing serves it as a cache hit.
+	// no second prepare — the plan is keyed without the ranking, so the
+	// quantile is a cache hit.
 	decodeAs(t, do(t, h, "POST", "/query", server.QueryRequest{
 		Dataset: "tiny", Query: "R(x,y),S(y,z)", Rank: "sum(x,z)", Op: "quantile", Phi: 0.5,
 	}), 200, &resp)
@@ -502,7 +503,7 @@ func TestQueryTimeout(t *testing.T) {
 }
 
 // TestPlanCacheLRU drives the cache directly: eviction order, singleflight
-// coalescing, sibling plan sharing and migration bookkeeping.
+// coalescing, one entry per plan and migration bookkeeping.
 func TestPlanCacheLRU(t *testing.T) {
 	c := server.NewPlanCache(2)
 	db := tinyDB(t)
@@ -515,43 +516,35 @@ func TestPlanCacheLRU(t *testing.T) {
 			return qjoin.Prepare(q, db, qjoin.Options{Parallelism: 1})
 		}
 	}
-	f := qjoin.Sum("x", "z")
 	ctx := context.Background()
 
-	p1, _, cached, err := c.Get(ctx, "d", 1, "R(x,y),S(y,z)", "sum(x,z)", 1, f, nil, prepare("R(x,y),S(y,z)"))
+	p1, cached, err := c.Get(ctx, "d", 1, "R(x,y),S(y,z)", 1, nil, prepare("R(x,y),S(y,z)"))
 	if err != nil || cached || p1 == nil {
 		t.Fatalf("first get: %v %v", cached, err)
 	}
-	_, rf, cached, err := c.Get(ctx, "d", 1, "R(x,y),S(y,z)", "sum(x,z)", 1, qjoin.Sum("x", "z"), nil, prepare("R(x,y),S(y,z)"))
-	if err != nil || !cached {
+	p2, cached, err := c.Get(ctx, "d", 1, "R(x,y),S(y,z)", 1, nil,
+		func() (qjoin.Plan, error) { t.Fatal("prepare called on a cached plan"); return nil, nil })
+	if err != nil || !cached || p2 != p1 {
 		t.Fatalf("second get not cached: %v", err)
 	}
-	if rf != f {
-		t.Fatal("cache did not intern the first caller's ranking instance")
-	}
 
-	// A different ranking over the same query shares the plan: no prepare.
-	p2, _, _, err := c.Get(ctx, "d", 1, "R(x,y),S(y,z)", "min(x)", 1, qjoin.Min("x"), nil,
-		func() (qjoin.Plan, error) { t.Fatal("prepare called despite sibling"); return nil, nil })
-	if err != nil || p2 != p1 {
-		t.Fatalf("sibling sharing failed: %v", err)
-	}
-
-	// Capacity 2: a third distinct key evicts the least recently used.
-	if _, _, _, err := c.Get(ctx, "d", 1, "R(x,y)", "sum(x)", 1, qjoin.Sum("x"), nil, prepare("R(x,y)")); err != nil {
-		t.Fatal(err)
+	// Capacity 2: a third distinct plan evicts the least recently used.
+	for _, qs := range []string{"R(x,y)", "S(y,z)"} {
+		if _, _, err := c.Get(ctx, "d", 1, qs, 1, nil, prepare(qs)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st := c.Stats()
 	if st.Size != 2 || st.Evictions != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 
-	// Migration moves live entries to the new generation and keeps sharing.
+	// Migration moves live entries to the new generation.
 	delta := qjoin.NewDelta().Insert("R", []int64{7, 2})
 	if n := c.Migrate("d", 1, 2, delta); n != 2 {
 		t.Fatalf("migrated %d entries, want 2", n)
 	}
-	_, _, cached, err = c.Get(ctx, "d", 2, "R(x,y)", "sum(x)", 1, qjoin.Sum("x"), nil,
+	_, cached, err = c.Get(ctx, "d", 2, "R(x,y)", 1, nil,
 		func() (qjoin.Plan, error) { t.Fatal("prepare after migrate"); return nil, nil })
 	if err != nil || !cached {
 		t.Fatalf("migrated entry missed: %v", err)
@@ -589,7 +582,7 @@ func TestPlanCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p, _, _, err := c.Get(context.Background(), "d", 1, "R(x,y),S(y,z)", "sum(x,z)", 1, qjoin.Sum("x", "z"), nil, prepare)
+			p, _, err := c.Get(context.Background(), "d", 1, "R(x,y),S(y,z)", 1, nil, prepare)
 			if err != nil {
 				t.Error(err)
 			}

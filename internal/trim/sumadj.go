@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 
-	"github.com/quantilejoins/qjoin/internal/jointree"
 	"github.com/quantilejoins/qjoin/internal/parallel"
 	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/ranking"
@@ -96,30 +95,30 @@ type bGroupPrep struct {
 // is attached (built at most once per (ranking, direction) per plan).
 func sumAdjPrepFor(inst Instance, f *ranking.Func, dir Dir) (*sumAdjPrep, error) {
 	c := inst.Cache
+	pair := c.pair(inst.Q, f)
 	if c == nil {
-		return buildSumAdjPrep(inst, f, dir)
+		return buildSumAdjPrep(inst, f, dir, pair)
 	}
-	key := cacheKeyFor(f, dir)
+	key := sumAdjKey{f.Key(), dir}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if p, ok := c.sumAdj[key]; ok {
 		return p, nil
 	}
-	p, err := buildSumAdjPrep(inst, f, dir)
+	p, err := buildSumAdjPrep(inst, f, dir, pair)
 	if err != nil {
 		return nil, err
 	}
 	if c.sumAdj == nil || len(c.sumAdj) >= cacheMaxEntries {
-		c.sumAdj = make(map[sumAdjCacheKey]*sumAdjPrep)
+		c.sumAdj = make(map[sumAdjKey]*sumAdjPrep)
 	}
 	c.sumAdj[key] = p
 	return p, nil
 }
 
-func buildSumAdjPrep(inst Instance, f *ranking.Func, dir Dir) (*sumAdjPrep, error) {
-	tree, nodeA, nodeB, err := jointree.BuildAdjacentPair(inst.Q, f.Vars)
-	if err != nil {
-		return nil, fmt.Errorf("trim: U_w not coverable by adjacent nodes: %w", err)
+func buildSumAdjPrep(inst Instance, f *ranking.Func, dir Dir, pair adjPair) (*sumAdjPrep, error) {
+	if pair.err != nil {
+		return nil, pair.err
 	}
 	workers := inst.workers()
 	if inst.DB.Size() < parallel.SeqThreshold {
@@ -130,17 +129,17 @@ func buildSumAdjPrep(inst Instance, f *ranking.Func, dir Dir) (*sumAdjPrep, erro
 		sign = -1
 	}
 	p := &sumAdjPrep{
-		atomIdxA: tree.Nodes[nodeA].Atom,
+		atomIdxA: pair.a,
 		sign:     sign,
 	}
 	p.atomA = inst.Q.Atoms[p.atomIdxA]
-	if nodeB == -1 {
+	if pair.b == -1 {
 		// All ranked variables in one atom: a linear filter on its relation.
 		p.single = true
 		p.colsA, p.varsA = rankedColumns(p.atomA, f)
 		return p, nil
 	}
-	p.atomIdxB = tree.Nodes[nodeB].Atom
+	p.atomIdxB = pair.b
 	p.atomB = inst.Q.Atoms[p.atomIdxB]
 
 	// μ-split the ranked variables: a variable appearing in both atoms

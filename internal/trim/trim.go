@@ -20,7 +20,6 @@ package trim
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"github.com/quantilejoins/qjoin/internal/jointree"
@@ -74,45 +73,72 @@ type Instance struct {
 	Cache *Cache
 }
 
-// Cache holds trim preprocessing keyed by ranking identity. Safe for
-// concurrent use; see Instance.Cache for the ownership contract.
+// Cache holds trim preprocessing keyed by ranking identity (ranking.Key).
+// Safe for concurrent use; see Instance.Cache for the ownership contract.
 type Cache struct {
 	mu     sync.Mutex
-	sumAdj map[sumAdjCacheKey]*sumAdjPrep
+	sumAdj map[sumAdjKey]*sumAdjPrep
+	pairs  map[ranking.Key]adjPair
 }
 
 // NewCache returns an empty trim-preprocessing cache.
 func NewCache() *Cache { return &Cache{} }
 
-type sumAdjCacheKey struct {
-	// Default-weight rankings (Weight == nil) key by value identity — Agg
-	// plus the NUL-joined variable list — so a service that builds a fresh
-	// Ranking per request still hits the cache. Rankings with a custom
-	// Weight func cannot be compared by value and fall back to pointer
-	// identity (f non-nil, sig empty).
-	f   *ranking.Func
-	sig string
-	dir Dir
+type sumAdjKey struct {
+	rank ranking.Key
+	dir  Dir
 }
 
-func cacheKeyFor(f *ranking.Func, dir Dir) sumAdjCacheKey {
-	if f.Weight != nil {
-		return sumAdjCacheKey{f: f, dir: dir}
-	}
-	var sb strings.Builder
-	sb.WriteByte(byte(f.Agg))
-	for _, v := range f.Vars {
-		sb.WriteByte(0)
-		sb.WriteString(string(v))
-	}
-	return sumAdjCacheKey{sig: sb.String(), dir: dir}
+// adjPair is the outcome of jointree.BuildAdjacentPair for one ranking: the
+// atom indexes of the node pair holding U_w (b = -1 when one node
+// suffices), or the error when no join tree puts U_w on adjacent nodes.
+type adjPair struct {
+	a, b int
+	err  error
 }
 
-// cacheMaxEntries bounds the prep cache: distinct rankings on one plan are
-// normally a handful, but pointer-keyed custom-weight rankings built per
-// call would otherwise accumulate one O(|D|) preparation each. On overflow
-// the whole map is dropped — the next call simply rebuilds its prep.
+// cacheMaxEntries bounds each map of the cache: distinct rankings on one
+// plan are normally a handful, but pointer-keyed custom-weight rankings
+// built per call would otherwise accumulate one entry each (an O(|D|)
+// preparation for sumAdj). On overflow the map is dropped — the next call
+// simply rebuilds its entry.
 const cacheMaxEntries = 64
+
+// AdjacentPair reports whether the ranked variables of f sit on one node or
+// two adjacent nodes of some join tree of q — the tractability test of exact
+// SUM (Theorem 5.6). Answering it enumerates join trees, so a cache memoizes
+// the verdict, negative ones included, per ranking; q must be the query the
+// cache belongs to. A nil cache computes it every call.
+func (c *Cache) AdjacentPair(q *query.Query, f *ranking.Func) error {
+	return c.pair(q, f).err
+}
+
+func (c *Cache) pair(q *query.Query, f *ranking.Func) adjPair {
+	if c == nil {
+		return newAdjPair(q, f)
+	}
+	k := f.Key()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if p, ok := c.pairs[k]; ok {
+		return p
+	}
+	p := newAdjPair(q, f)
+	if c.pairs == nil || len(c.pairs) >= cacheMaxEntries {
+		c.pairs = make(map[ranking.Key]adjPair)
+	}
+	c.pairs[k] = p
+	return p
+}
+
+func newAdjPair(q *query.Query, f *ranking.Func) adjPair {
+	// BuildAdjacentPair's node ids equal atom indexes.
+	_, a, b, err := jointree.BuildAdjacentPair(q, f.Vars)
+	if err != nil {
+		err = fmt.Errorf("trim: U_w not coverable by adjacent nodes: %w", err)
+	}
+	return adjPair{a, b, err}
+}
 
 // workers resolves the instance's worker count for the parallel runtime.
 func (inst Instance) workers() int {

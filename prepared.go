@@ -12,6 +12,7 @@ import (
 	"github.com/quantilejoins/qjoin/internal/counting"
 	"github.com/quantilejoins/qjoin/internal/decomp"
 	"github.com/quantilejoins/qjoin/internal/engine"
+	"github.com/quantilejoins/qjoin/internal/ranking"
 	"github.com/quantilejoins/qjoin/internal/shard"
 	"github.com/quantilejoins/qjoin/internal/yannakakis"
 )
@@ -68,19 +69,14 @@ type Prepared struct {
 	baseDB *DB
 	deltas []*Delta
 
-	// Sketch summaries for the approximate tier (see approx.go), built
-	// lazily per ranking function on first ModeApprox/ModeAuto use — never
-	// by Prepare or Update — and carried across Update, where the engine
-	// vector identifies exactly the engines to re-certify. skMu guards both
-	// maps; the entries themselves are immutable.
-	//
-	// rankCanon interns rankings by wire spec so that summaries loaded from
-	// a snapshot (keyed by pointers ParseRanking minted at load time) are
-	// found by whatever equivalent Ranking value callers later pass; see
-	// canonRanking.
-	skMu      sync.Mutex
-	sketches  map[*Ranking]*sketchEntry
-	rankCanon map[string]*Ranking
+	// Sketch summaries for the approximate tier (see approx.go), keyed by
+	// ranking identity and built lazily per ranking function on first
+	// ModeApprox/ModeAuto use — never by Prepare or Update — and carried
+	// across Update, where the engine vector identifies exactly the engines
+	// to re-certify. skMu guards the map; the entries themselves are
+	// immutable.
+	skMu     sync.Mutex
+	sketches map[ranking.Key]*sketchEntry
 }
 
 // Plan is the plan type serving layers hold. It names *Prepared, the one

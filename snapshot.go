@@ -14,6 +14,7 @@ import (
 	"sort"
 
 	"github.com/quantilejoins/qjoin/internal/engine"
+	"github.com/quantilejoins/qjoin/internal/ranking"
 	"github.com/quantilejoins/qjoin/internal/relation"
 	"github.com/quantilejoins/qjoin/internal/shard"
 	"github.com/quantilejoins/qjoin/internal/sketch"
@@ -112,11 +113,11 @@ func (p *Prepared) snapshotSketches() []specSketch {
 	p.skMu.Lock()
 	defer p.skMu.Unlock()
 	var out []specSketch
-	for f, en := range p.sketches {
-		if f.Weight != nil || !sameEngines(en.engs, p.engs) {
+	for _, en := range p.sketches {
+		if !sameEngines(en.engs, p.engs) {
 			continue
 		}
-		spec, err := FormatRanking(f)
+		spec, err := FormatRanking(en.rank)
 		if err != nil {
 			continue
 		}
@@ -287,14 +288,17 @@ func decodePlan(secs []snap.Section, sharded bool, o Options) (*Prepared, error)
 		if !d.Done() {
 			return nil, corruptf("trailing bytes in sketch section")
 		}
-		f, err := adoptRanking(spec, p.q, &p.rankCanon)
+		f, err := ParseRanking(spec)
 		if err != nil {
-			return nil, err
+			return nil, corruptf("sketch ranking %q: %v", spec, err)
+		}
+		if err := f.Validate(p.q); err != nil {
+			return nil, corruptf("sketch ranking %q does not fit query: %v", spec, err)
 		}
 		if p.sketches == nil {
-			p.sketches = make(map[*Ranking]*sketchEntry)
+			p.sketches = make(map[ranking.Key]*sketchEntry)
 		}
-		p.sketches[f] = newSketchEntry(parts, p.engs, f)
+		p.sketches[f.Key()] = newSketchEntry(parts, p.engs, f)
 	}
 	return p, nil
 }
@@ -337,24 +341,6 @@ func decodeRawDB(dictPl, rawPl []byte) (*DB, *snap.RelReader, error) {
 	}
 	inner.SetDict(dict)
 	return &DB{inner: inner}, rd, nil
-}
-
-// adoptRanking parses a sketch section's ranking spec, validates it against
-// the plan's query, and registers it as the canonical pointer for its spec
-// so later caller-supplied rankings find the loaded summary.
-func adoptRanking(spec string, q *Query, canon *map[string]*Ranking) (*Ranking, error) {
-	f, err := ParseRanking(spec)
-	if err != nil {
-		return nil, corruptf("sketch ranking %q: %v", spec, err)
-	}
-	if err := f.Validate(q); err != nil {
-		return nil, corruptf("sketch ranking %q does not fit query: %v", spec, err)
-	}
-	if *canon == nil {
-		*canon = make(map[string]*Ranking)
-	}
-	(*canon)[spec] = f
-	return f, nil
 }
 
 // DatasetMeta is the identity block of a dataset snapshot: the serving-layer

@@ -102,9 +102,8 @@ func (p *Prepared) Update(d *Delta) (*Prepared, error) {
 	next.deltas = append(chain[:len(chain):len(chain)], d.Clone())
 	// Sketch summaries carry over: the first approximate query (or
 	// WarmSketches) re-certifies the parts of engines the delta replaced
-	// instead of rebuilding from scratch. The ranking intern table rides
-	// along so carried summaries stay reachable by spec-equivalent rankings.
-	next.sketches, next.rankCanon = p.carrySketches()
+	// instead of rebuilding from scratch.
+	next.sketches = p.carrySketches()
 	return next, nil
 }
 

@@ -266,15 +266,11 @@ func ParseRanking(s string) (*Ranking, error) {
 		}
 		vars = append(vars, Var(v))
 	}
-	switch strings.ToLower(strings.TrimSpace(s[:open])) {
-	case "sum":
-		return Sum(vars...), nil
-	case "min":
-		return Min(vars...), nil
-	case "max":
-		return Max(vars...), nil
-	case "lex":
-		return Lex(vars...), nil
+	name := strings.ToLower(strings.TrimSpace(s[:open]))
+	for agg := ranking.Sum; agg <= ranking.Lex; agg++ {
+		if name == strings.ToLower(agg.String()) {
+			return &Ranking{Agg: agg, Vars: vars}, nil
+		}
 	}
 	return nil, argErrorf("rank", "unknown aggregate in %q (want sum/min/max/lex)", s)
 }
@@ -286,24 +282,14 @@ func FormatRanking(f *Ranking) (string, error) {
 	if f.Weight != nil {
 		return "", argErrorf("rank", "custom Weight functions have no wire form")
 	}
-	var agg string
-	switch f.Agg {
-	case ranking.Sum:
-		agg = "sum"
-	case ranking.Min:
-		agg = "min"
-	case ranking.Max:
-		agg = "max"
-	case ranking.Lex:
-		agg = "lex"
-	default:
+	if f.Agg < ranking.Sum || f.Agg > ranking.Lex {
 		return "", argErrorf("rank", "unknown aggregate %v", f.Agg)
 	}
 	parts := make([]string, len(f.Vars))
 	for i, v := range f.Vars {
 		parts[i] = string(v)
 	}
-	return agg + "(" + strings.Join(parts, ",") + ")", nil
+	return strings.ToLower(f.Agg.String()) + "(" + strings.Join(parts, ",") + ")", nil
 }
 
 // ParsePhis parses a comma-separated list of quantile fractions, validating
